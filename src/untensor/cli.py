@@ -56,7 +56,7 @@ def _load_instance(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return instance_from_payload(payload)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
         raise _CliError(f"cannot read instance file {path!r}: {exc}", EXIT_MALFORMED) from exc
 
 
@@ -74,7 +74,7 @@ def _parse_vector(args, dim: int):
     try:
         entries = json.loads(raw)
         v = vector(entries)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise _CliError(f"cannot parse vector: {exc}", EXIT_MALFORMED) from exc
     if len(v) != dim:
         raise _CliError(f"vector length {len(v)} does not match instance dimension {dim}", EXIT_MALFORMED)
@@ -84,6 +84,8 @@ def _parse_vector(args, dim: int):
 def _cmd_gen(args) -> int:
     if args.m < 1 or args.n < 1:
         raise _CliError("factor dimensions must be at least 1", EXIT_MALFORMED)
+    if args.sampler_range < 1:
+        raise _CliError("--sampler-range must be at least 1", EXIT_MALFORMED)
     inst = generate_instance((args.m, args.n), args.seed, pointed=args.pointed, sampler_range=args.sampler_range)
     _emit(dump_json(instance_payload(inst)), args.out, args.quiet)
     return EXIT_OK
@@ -118,7 +120,7 @@ def _cmd_square_complete(args) -> int:
         a = vector(corners["a"])
         b = vector(corners["b"])
         c = vector(corners["c"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
         raise _CliError(f"cannot read corners file {args.corners!r}: {exc}", EXIT_MALFORMED) from exc
     completion = complete_square_details(inst, a, b, c)
     payload = {

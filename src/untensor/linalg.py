@@ -1,12 +1,19 @@
 """Exact linear algebra over the rational numbers.
 
-Everything in this module works with `fractions.Fraction`, so no operation
+Values cross this module's boundary as `fractions.Fraction`, so no operation
 ever rounds and equality of results is decidable.  Vectors are plain tuples
 of Fractions; `Matrix` and `Subspace` are small immutable wrappers.  A
 subspace is stored as its reduced row-echelon basis, which is the unique
 canonical representative: two subspaces are equal iff their bases compare
 equal, and a ray (one-dimensional subspace) has a canonical generator whose
 first nonzero coordinate is 1.
+
+Every elimination (`rank`, `rref`, `kernel`, `inverse`, `solve_linear`,
+`determinant` and the `Subspace` reduction) runs through one integer core,
+`_eliminate`: each row is scaled by the lcm of its denominators, rows are
+combined fraction-free over Python `int` with their gcd content divided out
+after every update (Bareiss 1968 keeps the same integrality with exact
+quotients), and Fractions are built only from the final reduced rows.
 
 Scalars serialize as "p/q" strings ("p" when the denominator is 1) and
 round-trip exactly.
@@ -15,7 +22,8 @@ round-trip exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from untensor.errors import DimensionMismatch
@@ -145,12 +153,6 @@ class Matrix:
             raise ValueError("a matrix with no columns needs an explicit row count")
         return cls(tuple(tuple(col[i] for col in cols) for i in range(nrows)), len(cols))
 
-    @classmethod
-    def vstack(cls, top: "Matrix", bottom: "Matrix") -> "Matrix":
-        if top.ncols != bottom.ncols:
-            raise ValueError("column counts differ")
-        return cls(top.rows + bottom.rows, top.ncols)
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -207,17 +209,23 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        cols = [other.column(j) for j in range(other.ncols)]
+        cols = [to_integers(other.column(j)) for j in range(other.ncols)]
         out = []
         for row in self.rows:
-            out.append(tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in cols))
+            ints, den = to_integers(row)
+            out.append(tuple(Fraction(sum(map(mul, ints, col)), den * col_den) for col, col_den in cols))
         return Matrix(tuple(out), other.ncols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product."""
+        """Matrix-vector product, as integer dot products over cleared denominators."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in self.rows)
+        ints, den = to_integers(v)
+        out = []
+        for row in self.rows:
+            row_ints, row_den = to_integers(row)
+            out.append(Fraction(sum(map(mul, row_ints, ints)), row_den * den))
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -236,8 +244,7 @@ class Matrix:
     # -- elimination-based queries ------------------------------------------
 
     def rank(self) -> int:
-        _, pivots = _reduced_rows([list(r) for r in self.rows], self.ncols)
-        return len(pivots)
+        return len(_eliminate(_integer_rows(self.rows), self.ncols)[0])
 
     def det(self) -> Fraction:
         return determinant(self)
@@ -246,101 +253,144 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices invert")
         n = self.nrows
-        aug = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(self.rows)]
-        reduced, pivots = _reduced_rows(aug, 2 * n)
-        if pivots[:n] != list(range(n)) or len(pivots) != n:
+        aug = []
+        for i, row in enumerate(self.rows):
+            ints, den = to_integers(row)
+            aug.append(ints + [den if i == j else 0 for j in range(n)])
+        pivots, _ = _eliminate(aug, 2 * n)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(tuple(tuple(row[n:]) for row in reduced[:n]), n)
-
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
+        return Matrix(tuple(from_integers(row[n:], row[c]) for row, c in zip(aug, pivots)), n)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
-def _reduced_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan on a row list, in place.  Returns (rows, pivot columns)."""
+def to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with values == ints / den: den is the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in values])
+    if den == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def from_integers(ints: Sequence[int], den: int) -> Vector:
+    """The integers divided by a nonzero common denominator, as Fractions."""
+    if den == 1:
+        return tuple(map(Fraction, ints))
+    return tuple(Fraction(x, den) for x in ints)
+
+
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    return [to_integers(row)[0] for row in rows]
+
+
+def _eliminate(rows: list[list[int]], ncols: int, *, track_det: bool = False) -> tuple[list[int], Fraction]:
+    """Fraction-free Gauss-Jordan elimination over int, in place.
+
+    A row update replaces a row by p*row - e*pivot_row (p the pivot entry,
+    e the row's entry in the pivot column, both divided by their gcd) and
+    divides out the gcd content of the result, so rows stay primitive.
+    Afterwards rows[r] (r < len(pivots)) is nonzero at pivots[r] and zero in
+    every other pivot column, the remaining rows are zero, and dividing each
+    pivot row by its pivot entry gives the reduced row-echelon form.
+
+    Returns the pivot columns and a factor: with track_det, the one by which
+    the swaps, combinations and content divisions multiplied the determinant
+    of a square input, so det(input) = prod(pivot entries) / factor.  It is
+    1 otherwise, because its products grow with every update and would slow
+    the tall kernels that never need it.
+    """
     nrows = len(rows)
     pivots: list[int] = []
+    scaled, divided = 1, 1
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+            if track_det:
+                divided *= g
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+            if track_det:
+                scaled = -scaled
         lead = rows[r]
+        p = lead[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+            e = rows[i][c]
+            if e and i != r:
+                g = gcd(p, e)
+                pg, eg = p // g, e // g
+                new = [pg * a - eg * b for a, b in zip(rows[i], lead)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
+                    if track_det:
+                        divided *= g
+                rows[i] = new
+                if track_det:
+                    scaled *= pg
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return pivots, Fraction(scaled, divided)
+
+
+def _reduced_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[Vector], list[int]]:
+    """The nonzero rows of the reduced row-echelon form, and their pivot columns."""
+    ints = _integer_rows(rows)
+    pivots, _ = _eliminate(ints, ncols)
+    return [from_integers(row, row[c]) for row, c in zip(ints, pivots)], pivots
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form; the shape (zero rows included) is kept."""
-    rows, _ = _reduced_rows([list(r) for r in m.rows], m.ncols)
-    return Matrix(tuple(tuple(r) for r in rows), m.ncols)
+    reduced, _ = _reduced_rows(m.rows, m.ncols)
+    zero_rows = [vzero(m.ncols)] * (m.nrows - len(reduced))
+    return Matrix(tuple(reduced + zero_rows), m.ncols)
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
+    """Determinant from the integer elimination core.
 
-    On integer input every intermediate value stays integral, which keeps
-    entry growth polynomial; rational input works too since the divisions
-    are exact either way.
+    The rows are cleared of denominators, eliminated, and the product of
+    the resulting pivot entries is corrected by the factor the elimination
+    and the clearing multiplied the determinant by.
     """
     if m.nrows != m.ncols:
         raise ValueError("determinant needs a square matrix")
-    n = m.nrows
-    if n == 0:
-        return ONE
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return ZERO
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) / prev
-            row_i[k] = ZERO
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    rows, cleared = [], 1
+    for row in m.rows:
+        ints, den = to_integers(row)
+        rows.append(ints)
+        cleared *= den
+    pivots, factor = _eliminate(rows, m.ncols, track_det=True)
+    if len(pivots) != m.nrows:
+        return ZERO
+    product = 1
+    for row, c in zip(rows, pivots):
+        product *= row[c]
+    return product / (factor * cleared)
 
 
 def solve_linear(a: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     """One solution of a·x = rhs, or None when rhs is outside the column space."""
     if len(rhs) != a.nrows:
         raise ValueError("right-hand side length does not match row count")
-    aug = [list(row) + [frac(b)] for row, b in zip(a.rows, rhs)]
-    reduced, pivots = _reduced_rows(aug, a.ncols + 1)
-    if pivots and pivots[-1] == a.ncols:
+    n = a.ncols
+    reduced, pivots = _reduced_rows([row + (frac(b),) for row, b in zip(a.rows, rhs)], n + 1)
+    if pivots and pivots[-1] == n:
         return None
-    x = [ZERO] * a.ncols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][a.ncols]
+    x = [ZERO] * n
+    for row, c in zip(reduced, pivots):
+        x[c] = row[n]
     return tuple(x)
 
 
@@ -350,12 +400,11 @@ class Subspace:
     __slots__ = ("basis", "ambient_dim")
 
     def __init__(self, vectors: Iterable[Sequence], ambient_dim: int):
-        rows = [list(vector(v)) for v in vectors]
+        rows = [vector(v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch.of(ambient_dim, len(r))
-        reduced, pivots = _reduced_rows(rows, ambient_dim)
-        self.basis = Matrix(tuple(tuple(r) for r in reduced[: len(pivots)]), ambient_dim)
+        self.basis = Matrix(_reduced_rows(rows, ambient_dim)[0], ambient_dim)
         self.ambient_dim = ambient_dim
 
     @classmethod
@@ -413,9 +462,6 @@ class Subspace:
             return None
         return tuple(coords)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.rows)
-
     def add(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         return Subspace(self.basis.rows + other.basis.rows, self.ambient_dim)
@@ -432,13 +478,14 @@ class Subspace:
         if stacked.nrows == 0:
             return Subspace.zero(self.ambient_dim)
         left_kernel = kernel(stacked.transpose())
+        # Row i of A is ints_i / den_i.  Each member u'A is built as an
+        # integer multiple of itself, which spans the same ray.
+        scaled = [to_integers(row) for row in a]
+        columns = [[ints[j] for ints, _ in scaled] for j in range(self.ambient_dim)]
         members = []
         for y in left_kernel.basis.rows:
-            combo = [ZERO] * self.ambient_dim
-            for coeff, row in zip(y[: len(a)], a):
-                if coeff != 0:
-                    combo = [acc + coeff * b for acc, b in zip(combo, row)]
-            members.append(combo)
+            coeffs, _ = to_integers([c / den for c, (_, den) in zip(y, scaled)])
+            members.append([sum(map(mul, coeffs, col)) for col in columns])
         return Subspace(members, self.ambient_dim)
 
     def _check_ambient(self, other: "Subspace") -> None:
@@ -448,15 +495,17 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """The solution space {x : m·x = 0}; dimension = ncols - rank."""
-    reduced, pivots = _reduced_rows([list(r) for r in m.rows], m.ncols)
+    rows = _integer_rows(m.rows)
+    pivots, _ = _eliminate(rows, m.ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(m.ncols):
+        if f in pivot_set:
+            continue
         x = [ZERO] * m.ncols
         x[f] = ONE
-        for r, p in enumerate(pivots):
-            x[p] = -reduced[r][f]
+        for row, c in zip(rows, pivots):
+            x[c] = Fraction(-row[f], row[c])
         basis.append(x)
     return Subspace(basis, m.ncols)
 

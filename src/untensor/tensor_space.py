@@ -13,13 +13,19 @@ Recovery code is limited to those three.  `embed_simple` and
 `hidden_coordinates` reach behind the scramble and exist for instance
 generation, verification, and tests only.
 
-Internally the minors are evaluated through the integer adjugate of the
+Internally the minors are evaluated through the adjugate of the
 scramble, which multiplies every quadric value by the fixed positive
 constant det(scramble)^2.  The scaled values (`minor_values`,
 `polar2_values`, `polar2_rows`, `binary_restriction`) therefore have
 exactly the same zero sets, kernels, and solution ratios as the exact
 forms; `quadric_values` and `QuadraticForm.evaluate` divide the constant
 back out when the true values matter.
+
+The adjugate is stored once as integer rows over one positive common
+denominator (1 for an integer scramble).  An oracle query clears the
+denominators of its input vector and evaluates the minors with integer
+dot products; Fractions are built only for the values it returns, and no
+per-instance cache of unscrambled vectors is kept.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from random import Random
 from typing import Sequence
 
@@ -40,10 +47,15 @@ from untensor.linalg import (
     factor_rank_one,
     format_scalar,
     frac,
+    from_integers,
     is_zero_vector,
     solve_linear,
+    to_integers,
     vector,
 )
+
+
+DEFAULT_SAMPLER_RANGE = 10
 
 
 @dataclass(frozen=True)
@@ -92,18 +104,21 @@ class QuadraticForm:
 
 def minor_pullback_gram(carrier: Matrix, minor: tuple[int, int, int, int], sign: int = 1) -> Matrix:
     """Gram matrix of the minor form x_a x_d - sign * x_b x_c pulled back
-    through the linear map given by `carrier` (x = carrier * v)."""
-    a, b, c, d = minor
-    u = carrier.rows
-    ra, rb, rc, rd = u[a], u[b], u[c], u[d]
-    half = Fraction(1, 2)
+    through the linear map given by `carrier` (x = carrier * v).
+
+    The four carrier rows are cleared to integers over one denominator D,
+    so each entry is an integer over 2 * D^2.
+    """
     dim = carrier.ncols
+    ints, den = to_integers([x for i in minor for x in carrier.rows[i]])
+    ra, rb, rc, rd = (ints[k * dim : (k + 1) * dim] for k in range(4))
+    scale = 2 * den * den
     gram = []
     for p in range(dim):
         rap, rbp, rcp, rdp = ra[p], rb[p], rc[p], rd[p]
         gram.append(
             tuple(
-                half * (rap * rd[q] + rdp * ra[q] - sign * (rbp * rc[q] + rcp * rb[q]))
+                Fraction(rap * rd[q] + rdp * ra[q] - sign * (rbp * rc[q] + rcp * rb[q]), scale)
                 for q in range(dim)
             )
         )
@@ -140,11 +155,12 @@ class TensorSpace:
         *,
         base_factors: tuple[Vector, Vector] | None = None,
         seed: int | None = None,
-        sampler_range: int = 10,
+        sampler_range: int = DEFAULT_SAMPLER_RANGE,
         _fault_index: int | None = None,
     ):
         if scramble.shape != (shape.dim, shape.dim):
             raise DimensionMismatch.of((shape.dim, shape.dim), scramble.shape)
+        _check_sampler_range(sampler_range)
         det = determinant(scramble)
         if det == 0:
             raise ValueError("scramble must be invertible")
@@ -152,9 +168,10 @@ class TensorSpace:
         self.dim = shape.dim
         self.scramble = scramble
         self.scramble_inverse = scramble.inverse()
-        # det * inverse is the adjugate: integral whenever the scramble is,
-        # which keeps the hot evaluation paths in integer arithmetic.
-        self._adjugate = self.scramble_inverse.scale(det)
+        # det * inverse is the adjugate, held as integer rows over the common
+        # denominator _adj_den (1 whenever the scramble is integral).
+        flat, self._adj_den = to_integers([x for row in self.scramble_inverse.scale(det).rows for x in row])
+        self._adj_rows = tuple(flat[i * self.dim : (i + 1) * self.dim] for i in range(self.dim))
         self._det2 = det * det
         self.seed = seed
         self.sampler_range = sampler_range
@@ -162,7 +179,6 @@ class TensorSpace:
         self._minors = tuple(self._minor_indices())
         self.stats = OracleStats()
         self._quadrics: tuple[QuadraticForm, ...] | None = None
-        self._unscramble_cache: dict[Vector, Vector] = {}
         if base_factors is not None:
             alpha, beta = vector(base_factors[0]), vector(base_factors[1])
             if len(alpha) != shape.m or len(beta) != shape.n:
@@ -207,28 +223,27 @@ class TensorSpace:
             )
         return self._quadrics
 
-    def _scaled_hidden(self, v: Sequence[Fraction]) -> Vector:
-        """adjugate * v, cached: hidden coordinates scaled by det(scramble)."""
-        key = tuple(v)
-        hit = self._unscramble_cache.get(key)
-        if hit is None:
-            if len(self._unscramble_cache) > 8192:
-                self._unscramble_cache.clear()
-            hit = self._adjugate.apply(key)
-            self._unscramble_cache[key] = hit
-        return hit
+    def _scaled_hidden(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
+        """adjugate * v as (u, q): integers u over one positive denominator q.
+
+        u / q are the hidden coordinates of v scaled by det(scramble).  The
+        integer adjugate rows make this cheap enough to recompute on every
+        query, so no per-instance cache of unscrambled vectors is kept.
+        """
+        ints, den = to_integers(v)
+        return [sum(map(mul, row, ints)) for row in self._adj_rows], den * self._adj_den
 
     def minor_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """All quadric values at v, scaled by the fixed constant det^2."""
         if len(v) != self.dim:
             raise DimensionMismatch.of(self.dim, len(v))
         self.stats.quadric_evals += 1
-        u = self._scaled_hidden(v)
+        u, q = self._scaled_hidden(v)
         out = []
         for idx, (a, b, c, d) in enumerate(self._minors):
             cross = u[b] * u[c]
             out.append(u[a] * u[d] - cross if self._minor_sign(idx) == 1 else u[a] * u[d] + cross)
-        return tuple(out)
+        return from_integers(out, q * q)
 
     def quadric_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Exact values of every quadric at v."""
@@ -239,7 +254,7 @@ class TensorSpace:
         if len(v) != self.dim:
             raise DimensionMismatch.of(self.dim, len(v))
         self.stats.membership += 1
-        u = self._scaled_hidden(v)
+        u, _ = self._scaled_hidden(v)
         for idx, (a, b, c, d) in enumerate(self._minors):
             if self._minor_sign(idx) == 1:
                 if u[a] * u[d] != u[b] * u[c]:
@@ -251,14 +266,14 @@ class TensorSpace:
     def polar2_values(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """2*B_k(x, y) for every quadric, scaled by det^2."""
         self.stats.polarizations += 1
-        u = self._scaled_hidden(x)
-        w = self._scaled_hidden(y)
+        u, qu = self._scaled_hidden(x)
+        w, qw = self._scaled_hidden(y)
         out = []
         for idx, (a, b, c, d) in enumerate(self._minors):
             cross = u[b] * w[c] + u[c] * w[b]
             direct = u[a] * w[d] + u[d] * w[a]
             out.append(direct - cross if self._minor_sign(idx) == 1 else direct + cross)
-        return tuple(out)
+        return from_integers(out, qu * qw)
 
     def polar2_rows(self, v: Sequence[Fraction]) -> Matrix:
         """The stacked linear functionals w -> 2*B_k(v, w), one row per quadric.
@@ -267,21 +282,19 @@ class TensorSpace:
         with the exact polarizations.
         """
         self.stats.polarizations += 1
-        u = self._scaled_hidden(v)
-        w_rows = self._adjugate.rows
+        u, q = self._scaled_hidden(v)
+        w_rows = self._adj_rows
+        den = q * self._adj_den
         rows = []
         for idx, (a, b, c, d) in enumerate(self._minors):
             sign = self._minor_sign(idx)
             ra, rb, rc, rd = w_rows[a], w_rows[b], w_rows[c], w_rows[d]
             ua, ub, uc, ud = u[a], u[b], u[c], u[d]
             if sign == 1:
-                rows.append(
-                    tuple(ud * pa + ua * pd - uc * pb - ub * pc for pa, pb, pc, pd in zip(ra, rb, rc, rd))
-                )
+                row = [ud * pa + ua * pd - uc * pb - ub * pc for pa, pb, pc, pd in zip(ra, rb, rc, rd)]
             else:
-                rows.append(
-                    tuple(ud * pa + ua * pd + uc * pb + ub * pc for pa, pb, pc, pd in zip(ra, rb, rc, rd))
-                )
+                row = [ud * pa + ua * pd + uc * pb + ub * pc for pa, pb, pc, pd in zip(ra, rb, rc, rd)]
+            rows.append(from_integers(row, den))
         return Matrix(rows, self.dim)
 
     def binary_restriction(
@@ -290,8 +303,8 @@ class TensorSpace:
         """Each quadric restricted to span{d1, d2} as (A, B2, C) with
         Q(x d1 + y d2) proportional to A x^2 + B2 xy + C y^2."""
         self.stats.polarizations += 1
-        u = self._scaled_hidden(d1)
-        w = self._scaled_hidden(d2)
+        u, qu = self._scaled_hidden(d1)
+        w, qw = self._scaled_hidden(d2)
         out = []
         for idx, (a, b, c, d) in enumerate(self._minors):
             sign = self._minor_sign(idx)
@@ -303,7 +316,7 @@ class TensorSpace:
                 qa = u[a] * u[d] + u[b] * u[c]
                 qc = w[a] * w[d] + w[b] * w[c]
                 qb = u[a] * w[d] + u[d] * w[a] + u[b] * w[c] + u[c] * w[b]
-            out.append((qa, qb, qc))
+            out.append((Fraction(qa, qu * qu), Fraction(qb, qu * qw), Fraction(qc, qw * qw)))
         return tuple(out)
 
     def sample_simple(self, rng: Random) -> Vector:
@@ -342,6 +355,12 @@ class TensorSpace:
         return f"TensorSpace(shape={self.shape.m}x{self.shape.n}, seed={self.seed})"
 
 
+def _check_sampler_range(sampler_range: int) -> None:
+    # A range of 0 would make the nonzero-vector sampler loop forever.
+    if sampler_range < 1:
+        raise ValueError("sampler range must be at least 1")
+
+
 def _nonzero_int_vector(rng: Random, length: int, bound: int) -> Vector:
     while True:
         entries = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(length))
@@ -354,7 +373,7 @@ def generate_instance(
     seed: int,
     *,
     pointed: bool = False,
-    sampler_range: int = 10,
+    sampler_range: int = DEFAULT_SAMPLER_RANGE,
     scramble_entry_bound: int = 3,
 ) -> TensorSpace:
     """Draw a scrambled instance; the seed fixes every byte of it.
@@ -366,6 +385,7 @@ def generate_instance(
     """
     if not isinstance(shape, FactorShape):
         shape = FactorShape(*shape)
+    _check_sampler_range(sampler_range)
     rng = Random(seed)
     dim = shape.dim
     while True:
@@ -387,7 +407,7 @@ def build_instance(
     *,
     base_factors: tuple[Sequence, Sequence] | None = None,
     seed: int | None = None,
-    sampler_range: int = 10,
+    sampler_range: int = DEFAULT_SAMPLER_RANGE,
 ) -> TensorSpace:
     """Instance with an explicit scramble (identity when omitted)."""
     if not isinstance(shape, FactorShape):
@@ -473,6 +493,8 @@ def instance_payload(inst: TensorSpace) -> dict:
     }
     if inst.base_point is not None:
         payload["base_point"] = [format_scalar(x) for x in inst.base_point]
+    if inst.sampler_range != DEFAULT_SAMPLER_RANGE:
+        payload["sampler_range"] = inst.sampler_range
     return payload
 
 
@@ -489,7 +511,8 @@ def instance_from_payload(payload: dict) -> TensorSpace:
             raise ValueError("base_point is not a nonzero simple vector")
         base = factors
     seed = payload.get("seed")
-    return TensorSpace(shape, scramble, base_factors=base, seed=seed)
+    sampler_range = int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE))
+    return TensorSpace(shape, scramble, base_factors=base, seed=seed, sampler_range=sampler_range)
 
 
 def dump_json(payload: dict) -> str:

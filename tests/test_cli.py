@@ -40,6 +40,17 @@ class TestGen:
         code, _ = run(capsys, "gen", "--m", "0", "--n", "2", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["-1", "0"])
+    def test_sampler_range_below_one_exit_2(self, capsys, bad):
+        code, _ = run(capsys, "gen", "--m", "3", "--n", "2", "--seed", "1", "--sampler-range", bad, "--pointed")
+        assert code == 2
+
+    def test_sampler_range_survives_save_and_load(self, tmp_path, capsys):
+        path = tmp_path / "r3.json"
+        code, _ = run(capsys, "gen", "--m", "3", "--n", "2", "--seed", "1", "--sampler-range", "3", "--out", str(path), "--quiet")
+        assert code == 0
+        assert load_instance(path).sampler_range == 3
+
 
 class TestRecover:
     @pytest.fixture
@@ -87,6 +98,12 @@ class TestRecover:
         code, _ = run(capsys, "recover", str(bad))
         assert code == 2
 
+    def test_zero_denominator_instance_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "zero.json"
+        bad.write_text(json.dumps({"m": 1, "n": 1, "seed": None, "scramble": [["1/0"]]}))
+        code, _ = run(capsys, "recover", str(bad))
+        assert code == 2
+
     def test_retry_exhausted_exit_3(self, capsys, monkeypatch, instance_file):
         import untensor.cli as cli_mod
         from untensor.errors import RetryExhausted
@@ -122,6 +139,10 @@ class TestSimpleCheckAndSquares:
         code, _ = run(capsys, "simple-check", str(ident_file), "--vector", "[1,0]")
         assert code == 2
 
+    def test_simple_check_zero_denominator_exit_2(self, capsys, ident_file):
+        code, _ = run(capsys, "simple-check", str(ident_file), "--vector", '["1/0", 0, 0, 0]')
+        assert code == 2
+
     def test_square_complete(self, tmp_path, capsys, ident_file):
         corners = tmp_path / "corners.json"
         corners.write_text(json.dumps({"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": [0, 0, 1, 0]}))
@@ -135,6 +156,12 @@ class TestSimpleCheckAndSquares:
     def test_square_complete_bad_corners(self, tmp_path, capsys, ident_file):
         corners = tmp_path / "c.json"
         corners.write_text(json.dumps({"a": [1, 0, 0, 0], "b": [0, 1, 0, 0]}))
+        code, _ = run(capsys, "square-complete", str(ident_file), str(corners))
+        assert code == 2
+
+    def test_square_complete_zero_denominator_exit_2(self, tmp_path, capsys, ident_file):
+        corners = tmp_path / "c.json"
+        corners.write_text(json.dumps({"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": ["1/0", 0, 1, 0]}))
         code, _ = run(capsys, "square-complete", str(ident_file), str(corners))
         assert code == 2
 

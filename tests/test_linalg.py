@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -33,6 +34,115 @@ fractions = st.builds(F, small_ints, st.integers(min_value=1, max_value=9))
 
 def random_matrix(rng, rows, cols, bound=5):
     return Matrix([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)])
+
+
+def reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fractions: (all rows, pivot columns)."""
+    rows = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return [tuple(row) for row in rows], pivots
+
+
+def reference_determinant(rows):
+    """Leibniz expansion: a sum over permutations, independent of any elimination."""
+    n = len(rows)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def rational_matrices(draw, square=False, ncols=None):
+    """Small rational matrices, biased toward zero rows, zero columns and rank deficiency."""
+    nrows = draw(st.integers(min_value=0, max_value=4 if square else 5))
+    if square:
+        ncols = nrows
+    elif ncols is None:
+        ncols = draw(st.integers(min_value=1, max_value=5))
+    entry = st.one_of(st.just(F(0)), fractions)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [F(0)] * ncols
+    if ncols and draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[col] = F(0)
+    if nrows >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(nrows)))[:2]
+        t = draw(fractions)
+        rows[i] = [t * x for x in rows[j]]
+    return Matrix(rows, ncols)
+
+
+class TestIntegerCoreAgainstReference:
+    """The integer elimination core against textbook Fraction Gauss-Jordan."""
+
+    @given(rational_matrices())
+    def test_rref_rank_kernel(self, m):
+        reduced, pivots = reference_rref(m.rows, m.ncols)
+        assert rref(m).rows == tuple(reduced)
+        assert m.rank() == len(pivots)
+        free = [f for f in range(m.ncols) if f not in pivots]
+        null_vectors = []
+        for f in free:
+            x = [F(0)] * m.ncols
+            x[f] = F(1)
+            for row, c in zip(reduced, pivots):
+                x[c] = -row[f]
+            null_vectors.append(x)
+        expected, _ = reference_rref(null_vectors, m.ncols)
+        assert kernel(m).basis.rows == tuple(expected[: len(free)])
+        assert Subspace(m.rows, m.ncols).basis.rows == tuple(reduced[: len(pivots)])
+
+    @given(rational_matrices(square=True))
+    def test_inverse_and_determinant(self, m):
+        n = m.nrows
+        det = determinant(m)
+        assert det == reference_determinant(m.rows)
+        if det == 0:
+            with pytest.raises(ValueError):
+                m.inverse()
+            return
+        aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
+        reduced, _ = reference_rref(aug, 2 * n)
+        assert m.inverse().rows == tuple(row[n:] for row in reduced)
+
+    @given(rational_matrices(), st.data())
+    def test_solve_linear(self, m, data):
+        rhs = [data.draw(st.one_of(st.just(F(0)), fractions)) for _ in range(m.nrows)]
+        reduced, pivots = reference_rref([row + (b,) for row, b in zip(m.rows, rhs)], m.ncols + 1)
+        if pivots and pivots[-1] == m.ncols:
+            assert solve_linear(m, rhs) is None
+            return
+        x = [F(0)] * m.ncols
+        for row, c in zip(reduced, pivots):
+            x[c] = row[m.ncols]
+        assert solve_linear(m, rhs) == tuple(x)
+
+    @given(rational_matrices(), st.data())
+    def test_intersect(self, a, data):
+        b = data.draw(rational_matrices(ncols=a.ncols))
+        sa, sb = Subspace(a.rows, a.ncols), Subspace(b.rows, b.ncols)
+        meet = sa.intersect(sb)
+        assert all(sa.contains(v) and sb.contains(v) for v in meet.basis_vectors())
+        assert meet.dim == sa.dim + sb.dim - sa.add(sb).dim
 
 
 class TestRref:

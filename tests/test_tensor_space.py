@@ -5,6 +5,7 @@ import pytest
 
 from untensor.errors import DimensionMismatch
 from untensor.linalg import Matrix, is_zero_vector, vadd, vector, vscale
+from untensor.reconstruct import recover_factors, verify_round_trip
 from untensor.tensor_space import (
     FactorShape,
     build_instance,
@@ -44,6 +45,13 @@ class TestGeneration:
         assert a.scramble == b.scramble
         assert a.base_point == b.base_point
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_sampler_range_below_one_rejected(self, bad):
+        with pytest.raises(ValueError):
+            generate_instance((3, 2), 1, pointed=True, sampler_range=bad)
+        with pytest.raises(ValueError):
+            build_instance((3, 2), sampler_range=bad)
+
     def test_scramble_invertible(self):
         inst = generate_instance((2, 3), 9)
         assert inst.scramble @ inst.scramble_inverse == Matrix.identity(6)
@@ -66,6 +74,18 @@ class TestMembership:
     def test_length_mismatch(self, ident22):
         with pytest.raises(DimensionMismatch):
             ident22.is_simple((1, 0, 0))
+
+    def test_rational_scramble(self):
+        # a p/q scramble makes the adjugate rational; membership and recovery stay exact
+        base = generate_instance((3, 3), 41).scramble
+        scramble = Matrix([[x / (i + 2) for x in row] for i, row in enumerate(base.rows)])
+        inst = build_instance((3, 3), scramble, base_factors=((1, -2, 3), (F(1, 2), 0, 5)))
+        rng = Random(2)
+        for i in range(200):
+            v = inst.sample_simple(rng) if i % 2 else vector([F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(9)])
+            assert inst.is_simple(v) == (inst.hidden_rank(v) <= 1)
+        recon = recover_factors(inst, Random(3))
+        assert verify_round_trip(inst, recon).success
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
     def test_membership_matches_hidden_rank(self, shape):
@@ -169,6 +189,12 @@ class TestSerialization:
         assert again.scramble == inst.scramble
         assert again.base_point == inst.base_point
         assert instance_payload(again) == payload
+
+    def test_sampler_range_survives_reload(self):
+        inst = generate_instance((2, 3), 12, pointed=True, sampler_range=3)
+        again = instance_from_payload(instance_payload(inst))
+        assert again.sampler_range == 3
+        assert "sampler_range" not in instance_payload(generate_instance((2, 3), 12, pointed=True))
 
     def test_base_point_survives_reload(self):
         inst = generate_instance((2, 2), 10, pointed=True)
