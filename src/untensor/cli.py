@@ -16,7 +16,7 @@ import json
 import sys
 from random import Random
 
-from untensor.errors import RetryExhausted, ToolkitError
+from untensor.errors import DimensionMismatch, RetryExhausted, ToolkitError
 from untensor.foliation import tangent_space
 from untensor.linalg import format_scalar, vector
 from untensor.reconstruct import recover_factors, verify_round_trip
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_MALFORMED = 2
 EXIT_RETRY = 3
+
+
+# What parsing outside input can raise: bad JSON or scalar text, a "p/0" or
+# infinite scalar, a value of the wrong type, or a missing key.
+_PARSE_ERRORS = (ValueError, ArithmeticError, TypeError, KeyError)
 
 
 class _CliError(Exception):
@@ -56,7 +61,7 @@ def _load_instance(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return instance_from_payload(payload)
-    except (OSError, ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
+    except (OSError, DimensionMismatch, *_PARSE_ERRORS) as exc:
         raise _CliError(f"cannot read instance file {path!r}: {exc}", EXIT_MALFORMED) from exc
 
 
@@ -74,7 +79,7 @@ def _parse_vector(args, dim: int):
     try:
         entries = json.loads(raw)
         v = vector(entries)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except _PARSE_ERRORS as exc:
         raise _CliError(f"cannot parse vector: {exc}", EXIT_MALFORMED) from exc
     if len(v) != dim:
         raise _CliError(f"vector length {len(v)} does not match instance dimension {dim}", EXIT_MALFORMED)
@@ -120,7 +125,7 @@ def _cmd_square_complete(args) -> int:
         a = vector(corners["a"])
         b = vector(corners["b"])
         c = vector(corners["c"])
-    except (OSError, ValueError, ZeroDivisionError, KeyError, TypeError) as exc:
+    except (OSError, *_PARSE_ERRORS) as exc:
         raise _CliError(f"cannot read corners file {args.corners!r}: {exc}", EXIT_MALFORMED) from exc
     completion = complete_square_details(inst, a, b, c)
     payload = {

@@ -6,10 +6,16 @@ the same foliation are disjoint, sheets of different foliations meet in a
 ray.  None of that structure is visible in the raw coordinates, but it can
 be dug out of S alone:
 
-* `tangent_space(v)` linearizes the quadrics at v; it has dimension
+* `tangent_equations(v)` linearizes the quadrics at v: the nonzero rows of
+  the reduced echelon form of `polar2_rows(v)`, one equation per
+  independent linear condition.  A tangent cache (a dict passed as
+  `cache`) maps `tuple(v)` to these rows, so each vector is eliminated
+  once however many tangent spaces it enters.
+* `tangent_space(v)` is the kernel of those equations; it has dimension
   m + n - 1 and equals the span of the two sheets through v.
-* `cross_rays(v, s)` intersects the tangent spaces of two generic simple
-  vectors.  The intersection is a plane whose trace on S is exactly two
+* `tangent_intersection(v, s)` is the kernel of both equation sets
+  stacked, and `cross_rays(v, s)` splits it for two generic simple
+  vectors: the intersection is a plane whose trace on S is exactly two
   rational rays, one in each sheet through v.
 * `sheets_through(v)` harvests cross rays from random samples and clusters
   them into the two sheets, certifying the result with `subspace_in_S`.
@@ -39,6 +45,7 @@ from untensor.errors import (
     ZeroVector,
 )
 from untensor.linalg import (
+    Matrix,
     Subspace,
     Vector,
     fraction_sqrt_exact,
@@ -120,12 +127,12 @@ def subspace_in_S(inst: TensorSpace, sub: Subspace) -> bool:
     return True
 
 
-def tangent_space(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> Subspace:
-    """Kernel of the quadric linearizations w -> B_k(v, w) at a simple v.
+def tangent_equations(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> tuple[Vector, ...]:
+    """Reduced equations of the tangent space at a simple v.
 
-    Contains both sheets through v; dimension m + n - 1 (for a trivial
-    shape the quadric list is empty and the tangent space is all of V,
-    which agrees with the formula).
+    The rows are the canonical echelon basis of the span of the quadric
+    linearizations w -> B_k(v, w); there are dim V - (m + n - 1) of them
+    (none for a trivial shape).  `cache` keeps them under tuple(v).
     """
     key = tuple(v)
     if cache is not None:
@@ -136,10 +143,25 @@ def tangent_space(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> 
         raise ZeroVector("tangent space needs a nonzero vector")
     if not inst.is_simple(key):
         raise NotSimpleVector("tangent space is defined at simple vectors only")
-    out = kernel(inst.polar2_rows(key))
+    out = Subspace(inst.polar2_rows(key).rows, inst.dim).basis.rows
     if cache is not None:
         cache[key] = out
     return out
+
+
+def tangent_space(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> Subspace:
+    """Kernel of the quadric linearizations w -> B_k(v, w) at a simple v.
+
+    Contains both sheets through v; dimension m + n - 1 (for a trivial
+    shape the quadric list is empty and the tangent space is all of V,
+    which agrees with the formula).
+    """
+    return kernel(Matrix(tangent_equations(inst, v, cache), inst.dim))
+
+
+def tangent_intersection(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None = None) -> Subspace:
+    """The tangent spaces of v and s intersected: one kernel of both equation sets."""
+    return kernel(Matrix(tangent_equations(inst, v, cache) + tangent_equations(inst, s, cache), inst.dim))
 
 
 def same_sheet(inst: TensorSpace, x: Sequence, y: Sequence) -> bool:
@@ -179,9 +201,7 @@ def cross_rays(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None =
     quadratic, and that quadratic splits into two distinct rational rays.
     Any other outcome raises Degenerate and the caller resamples.
     """
-    v = tuple(v)
-    s = tuple(s)
-    plane = tangent_space(inst, v, cache).intersect(tangent_space(inst, s, cache))
+    plane = tangent_intersection(inst, v, s, cache)
     if plane.dim != 2:
         raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
     d1, d2 = plane.basis.rows
@@ -221,7 +241,7 @@ def sheets_through(
     and triggers a restart instead.
     """
     v = tuple(v)
-    if inst.shape.trivial:
+    if inst.quadric_count == 0:
         raise TrivialShape("foliation discovery needs both factors of dimension >= 2")
     if is_zero_vector(v):
         raise ZeroVector("sheets are anchored at a nonzero vector")
@@ -229,8 +249,9 @@ def sheets_through(
         raise NotSimpleVector("sheets exist through simple vectors only")
     if cache is None:
         cache = {}
-    budget = max_samples if max_samples is not None else 64 * (inst.shape.m + inst.shape.n)
-    tangent_dim = tangent_space(inst, v, cache).dim
+    tangent_dim = inst.dim - len(tangent_equations(inst, v, cache))
+    # tangent_dim + 1 == m + n, read off the cone instead of the hidden shape.
+    budget = max_samples if max_samples is not None else 64 * (tangent_dim + 1)
 
     gens: tuple[list[Vector], list[Vector]] = ([], [])
     spans: list[Subspace | None] = [None, None]

@@ -250,17 +250,10 @@ class Matrix:
         return determinant(self)
 
     def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("only square matrices invert")
-        n = self.nrows
-        aug = []
-        for i, row in enumerate(self.rows):
-            ints, den = to_integers(row)
-            aug.append(ints + [den if i == j else 0 for j in range(n)])
-        pivots, _ = _eliminate(aug, 2 * n)
-        if pivots != list(range(n)):
+        inv, _ = inverse_and_determinant(self)
+        if inv is None:
             raise ValueError("matrix is singular")
-        return Matrix(tuple(from_integers(row[n:], row[c]) for row, c in zip(aug, pivots)), n)
+        return inv
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -378,6 +371,31 @@ def determinant(m: Matrix) -> Fraction:
     for row, c in zip(rows, pivots):
         product *= row[c]
     return product / (factor * cleared)
+
+
+def inverse_and_determinant(m: Matrix) -> tuple[Matrix | None, Fraction]:
+    """The inverse (None when m is singular) and the determinant of a square m.
+
+    Both come from one elimination of [m | I]: the right half of the
+    reduced rows is the inverse, and the left half's pivot entries give the
+    determinant as in `determinant`.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("only square matrices invert")
+    n = m.nrows
+    aug, cleared = [], 1
+    for i, row in enumerate(m.rows):
+        ints, den = to_integers(row)
+        aug.append(ints + [den if i == j else 0 for j in range(n)])
+        cleared *= den
+    pivots, factor = _eliminate(aug, 2 * n, track_det=True)
+    if pivots != list(range(n)):
+        return None, ZERO
+    product = 1
+    for row, c in zip(aug, pivots):
+        product *= row[c]
+    inverse = Matrix(tuple(from_integers(row[n:], row[c]) for row, c in zip(aug, pivots)), n)
+    return inverse, product / (factor * cleared)
 
 
 def solve_linear(a: Matrix, rhs: Sequence[Fraction]) -> Vector | None:

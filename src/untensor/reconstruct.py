@@ -189,7 +189,7 @@ def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) 
         raise ZeroVector("the base point must be nonzero")
     if not inst.is_simple(w0):
         raise NotSimpleVector("the base point must be simple")
-    if inst.shape.trivial:
+    if inst.quadric_count == 0:
         full = Subspace.full(inst.dim)
         ray = Subspace([w0], inst.dim)
         pair = SheetPair(

@@ -3,11 +3,14 @@
 A square is a 2x2 array ((a, b), (c, d)) of simple vectors whose rows,
 columns, and total sum are simple, with the row pairs sharing sheets in
 one foliation and the column pairs in the other.  Three corners pin the
-fourth uniquely: the missing corner's ray is the crossing of the sheet
-through b (in the foliation of {a, c}) with the sheet through c (in the
-foliation of {a, b}), and the scale along that ray is fixed by demanding
-the total sum stay on the cone, which is a linear condition because the
-quadratic term of every quadric dies on the ray.
+fourth uniquely.  The tangent spaces of b and c meet in a plane whose
+trace on the cone is two rays: the ray of a, and the ray of d, where the
+sheet through b (in the foliation of {a, c}) crosses the sheet through c
+(in the foliation of {a, b}).  Since a is known, the second ray is the
+other root of one binary restriction, found by a linear solve.  The scale
+along that ray is fixed by demanding the total sum stay on the cone,
+which is a linear condition because the quadratic term of every quadric
+dies on the ray.
 
 Completion dispatches the proportional special cases first, since for
 those the total-sum condition is vacuous and the answer is forced by
@@ -21,8 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.foliation import cross_rays, same_sheet
-from untensor.linalg import Vector, is_zero_vector, proportionality_ratio, vadd, vscale
+from untensor.foliation import same_sheet, tangent_intersection
+from untensor.linalg import Vector, first_nonzero_index, is_zero_vector, proportionality_ratio, vadd, vscale
 from untensor.tensor_space import TensorSpace
 
 
@@ -106,11 +109,18 @@ def complete_square_details(
 ) -> Completion:
     """The unique d making ((a, b), (c, d)) a square, with diagnostics.
 
-    Generic path: `cross_rays(b, c)` yields exactly two rays, one of which
-    must be the ray of a; the other carries d.  With u the canonical
-    generator of that ray and s = a + b + c, every quadric imposes
-    Q_k(s) + t * 2 B_k(s, u) = 0 on d = t u, and the system must have one
-    consistent solution.
+    Generic path: the tangent spaces of b and c meet in a plane that must
+    contain a.  With p a basis vector of the plane not proportional to a,
+    every quadric restricts to Q_k(p + x a) = Q_k(p) + x * 2 B_k(a, p),
+    because Q_k(a) = 0; all quadrics must agree on the root x, and
+    p + x a spans the ray of d.  With u the canonical generator of that
+    ray (first nonzero coordinate 1) and s = a + b + c, every quadric
+    imposes Q_k(s) + t * 2 B_k(s, u) = 0 on d = t u, and the system must
+    have one consistent solution.
+
+    A plane of dimension other than 2, quadrics that all vanish on it, a
+    double root at a, or quadrics disagreeing on x raise Degenerate; a
+    plane missing a raises PreconditionViolated.
     """
     a = tuple(a)
     b = tuple(b)
@@ -138,15 +148,27 @@ def complete_square_details(
         raise PreconditionViolated("a must share a sheet with b and with c")
     if same_sheet(inst, b, c):
         raise PreconditionViolated("b and c lie across the square and must not share a sheet")
-    ray1, ray2 = cross_rays(inst, b, c, cache)
-    candidates = [
-        r.generator
-        for r in (ray1, ray2)
-        if proportionality_ratio(a, r.generator) is None
-    ]
-    if len(candidates) != 1:
-        raise PreconditionViolated("the corner rays do not brace the square; got %d candidates" % len(candidates))
-    u = candidates[0]
+    plane = tangent_intersection(inst, b, c, cache)
+    if plane.dim != 2:
+        raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
+    if not plane.contains(a):
+        raise PreconditionViolated("the corner rays do not brace the square: a is off the plane of b and c")
+    p = next(row for row in plane.basis.rows if proportionality_ratio(a, row) is None)
+    x: Fraction | None = None
+    for _, slope, constant in inst.binary_restriction(a, p):
+        if slope == 0:
+            if constant != 0:
+                raise Degenerate("a restricted quadric has a double root at a")
+            continue
+        root = -constant / slope
+        if x is None:
+            x = root
+        elif x != root:
+            raise Degenerate("restricted quadrics disagree on the second ray")
+    if x is None:
+        raise Degenerate("every quadric vanishes on the intersection plane")
+    ray = vadd(p, vscale(x, a))
+    u = vscale(1 / ray[first_nonzero_index(ray)], ray)
     s = vadd(vadd(a, b), c)
     constants = inst.minor_values(s)
     slopes = inst.polar2_values(s, u)

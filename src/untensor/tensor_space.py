@@ -48,6 +48,7 @@ from untensor.linalg import (
     format_scalar,
     frac,
     from_integers,
+    inverse_and_determinant,
     is_zero_vector,
     solve_linear,
     to_integers,
@@ -161,13 +162,13 @@ class TensorSpace:
         if scramble.shape != (shape.dim, shape.dim):
             raise DimensionMismatch.of((shape.dim, shape.dim), scramble.shape)
         _check_sampler_range(sampler_range)
-        det = determinant(scramble)
-        if det == 0:
+        inverse, det = inverse_and_determinant(scramble)
+        if inverse is None:
             raise ValueError("scramble must be invertible")
         self.shape = shape
         self.dim = shape.dim
         self.scramble = scramble
-        self.scramble_inverse = scramble.inverse()
+        self.scramble_inverse = inverse
         # det * inverse is the adjugate, held as integer rows over the common
         # denominator _adj_den (1 whenever the scramble is integral).
         flat, self._adj_den = to_integers([x for row in self.scramble_inverse.scale(det).rows for x in row])
@@ -179,17 +180,20 @@ class TensorSpace:
         self._minors = tuple(self._minor_indices())
         self.stats = OracleStats()
         self._quadrics: tuple[QuadraticForm, ...] | None = None
+        self.base_factors: tuple[Vector, Vector] | None = None
+        self.base_point: Vector | None = None
         if base_factors is not None:
-            alpha, beta = vector(base_factors[0]), vector(base_factors[1])
-            if len(alpha) != shape.m or len(beta) != shape.n:
-                raise DimensionMismatch.of((shape.m, shape.n), (len(alpha), len(beta)))
-            if is_zero_vector(alpha) or is_zero_vector(beta):
-                raise ValueError("base factors must be nonzero")
-            self.base_factors: tuple[Vector, Vector] | None = (alpha, beta)
-            self.base_point: Vector | None = self.embed_simple(alpha, beta)
-        else:
-            self.base_factors = None
-            self.base_point = None
+            self._point_at(*base_factors)
+
+    def _point_at(self, alpha: Sequence, beta: Sequence) -> None:
+        """Make alpha x beta the base point; construction and loading only."""
+        alpha, beta = vector(alpha), vector(beta)
+        if len(alpha) != self.shape.m or len(beta) != self.shape.n:
+            raise DimensionMismatch.of((self.shape.m, self.shape.n), (len(alpha), len(beta)))
+        if is_zero_vector(alpha) or is_zero_vector(beta):
+            raise ValueError("base factors must be nonzero")
+        self.base_factors = (alpha, beta)
+        self.base_point = self.embed_simple(alpha, beta)
 
     def _minor_indices(self):
         m, n = self.shape.m, self.shape.n
@@ -499,20 +503,18 @@ def instance_payload(inst: TensorSpace) -> dict:
 
 
 def instance_from_payload(payload: dict) -> TensorSpace:
+    """The instance a payload describes; the base point is factored through
+    the instance itself, so the scramble is eliminated once."""
     shape = FactorShape(int(payload["m"]), int(payload["n"]))
     scramble = Matrix([[frac(x) for x in row] for row in payload["scramble"]], shape.dim)
-    base = None
-    if "base_point" in payload and payload["base_point"] is not None:
-        point = vector(payload["base_point"])
-        probe = TensorSpace(shape, scramble)
-        grid = probe.hidden_coordinates(point)
-        factors = factor_rank_one(grid)
+    sampler_range = int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE))
+    inst = TensorSpace(shape, scramble, seed=payload.get("seed"), sampler_range=sampler_range)
+    if payload.get("base_point") is not None:
+        factors = factor_rank_one(inst.hidden_coordinates(vector(payload["base_point"])))
         if factors is None or is_zero_vector(factors[0]):
             raise ValueError("base_point is not a nonzero simple vector")
-        base = factors
-    seed = payload.get("seed")
-    sampler_range = int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE))
-    return TensorSpace(shape, scramble, base_factors=base, seed=seed, sampler_range=sampler_range)
+        inst._point_at(*factors)
+    return inst
 
 
 def dump_json(payload: dict) -> str:

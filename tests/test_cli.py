@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from untensor.cli import main
 from untensor.tensor_space import load_instance
@@ -104,6 +110,18 @@ class TestRecover:
         code, _ = run(capsys, "recover", str(bad))
         assert code == 2
 
+    def test_wrong_sized_scramble_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps({"m": 2, "n": 2, "seed": None, "scramble": [["1", "0", "0", "0"]] * 3}))
+        code, _ = run(capsys, "recover", str(bad))
+        assert code == 2
+
+    def test_infinite_dimension_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps({"m": float("inf"), "n": 2, "seed": None, "scramble": []}))
+        code, _ = run(capsys, "recover", str(bad))
+        assert code == 2
+
     def test_retry_exhausted_exit_3(self, capsys, monkeypatch, instance_file):
         import untensor.cli as cli_mod
         from untensor.errors import RetryExhausted
@@ -143,6 +161,10 @@ class TestSimpleCheckAndSquares:
         code, _ = run(capsys, "simple-check", str(ident_file), "--vector", '["1/0", 0, 0, 0]')
         assert code == 2
 
+    def test_simple_check_infinite_scalar_exit_2(self, capsys, ident_file):
+        code, _ = run(capsys, "simple-check", str(ident_file), "--vector", "[Infinity, 0, 0, 0]")
+        assert code == 2
+
     def test_square_complete(self, tmp_path, capsys, ident_file):
         corners = tmp_path / "corners.json"
         corners.write_text(json.dumps({"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": [0, 0, 1, 0]}))
@@ -162,6 +184,12 @@ class TestSimpleCheckAndSquares:
     def test_square_complete_zero_denominator_exit_2(self, tmp_path, capsys, ident_file):
         corners = tmp_path / "c.json"
         corners.write_text(json.dumps({"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": ["1/0", 0, 1, 0]}))
+        code, _ = run(capsys, "square-complete", str(ident_file), str(corners))
+        assert code == 2
+
+    def test_square_complete_infinite_scalar_exit_2(self, tmp_path, capsys, ident_file):
+        corners = tmp_path / "c.json"
+        corners.write_text(json.dumps({"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": [float("-inf"), 0, 1, 0]}))
         code, _ = run(capsys, "square-complete", str(ident_file), str(corners))
         assert code == 2
 
@@ -228,3 +256,111 @@ class TestNaturality:
         summary = json.loads(out)
         assert set(summary) == {"trials", "psi_pass", "phi_pass", "functor_law_pass"}
         assert summary["psi_pass"] and summary["phi_pass"] and summary["functor_law_pass"]
+
+
+# -- fuzzed input files ---------------------------------------------------------
+
+_TEMPLATE = {
+    "m": 2,
+    "n": 2,
+    "seed": 7,
+    "scramble": [["1", "1", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "2", "1"], ["1", "0", "0", "1"]],
+    "base_point": ["2", "1", "6", "3"],
+}
+# The images of e1 x e1, e1 x e2 and e2 x e1 under the template's scramble.
+_CORNERS = {"a": ["1", "0", "0", "1"], "b": ["1", "1", "0", "0"], "c": ["0", "0", "2", "0"]}
+
+_scalars = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.integers(),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(-3, 30)),
+    st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300]),
+    st.text(max_size=6),
+    st.booleans(),
+    st.none(),
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_vectors = st.one_of(st.lists(_scalars, min_size=4, max_size=4), st.lists(_scalars, max_size=6), _json)
+_matrices = st.one_of(st.lists(st.lists(_scalars, min_size=4, max_size=4), min_size=4, max_size=4), st.lists(_vectors, max_size=5))
+
+
+@st.composite
+def _instance_texts(draw):
+    """Instance files: the template as it is, with some fields replaced or
+    dropped, or no instance at all."""
+    kind = draw(st.sampled_from(["template", "mutated", "mutated", "json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(_json))
+    payload = dict(_TEMPLATE)
+    if kind == "template":
+        return json.dumps(payload)
+    fields = {
+        "m": st.one_of(_scalars, st.integers(1, 5)),
+        "n": st.one_of(_scalars, st.integers(1, 5)),
+        "seed": _json,
+        "scramble": _matrices,
+        "base_point": _vectors,
+        "sampler_range": st.one_of(_scalars, st.integers(-2, 12)),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)):
+        if draw(st.booleans()):
+            payload[key] = draw(fields[key])
+        else:
+            payload.pop(key, None)
+    return json.dumps(payload)
+
+
+@st.composite
+def _corner_texts(draw):
+    if draw(st.booleans()):
+        return json.dumps(draw(_json))
+    corners = dict(_CORNERS)
+    for key in draw(st.sets(st.sampled_from("abc"))):
+        corners[key] = draw(_vectors)
+    return json.dumps(corners)
+
+
+def test_fuzz_templates_are_valid(tmp_path, capsys):
+    inst, corners = tmp_path / "i.json", tmp_path / "c.json"
+    inst.write_text(json.dumps(_TEMPLATE))
+    corners.write_text(json.dumps(_CORNERS))
+    code, out = run(capsys, "square-complete", str(inst), str(corners))
+    assert code == 0 and json.loads(out)["d"] == ["0", "0", "1", "1"]
+    code, out = run(capsys, "recover", str(inst), "--seed", "1")
+    assert code == 0 and json.loads(out)["success"] is True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    instance=_instance_texts(),
+    command=st.sampled_from(["recover", "simple-check --vector", "simple-check --vector-file", "square-complete"]),
+    vector_text=st.one_of(_vectors.map(json.dumps), st.text(max_size=20)),
+    corners_text=_corner_texts(),
+)
+def test_fuzzed_files_exit_with_a_documented_code(instance, command, vector_text, corners_text):
+    """Whatever the input files hold, the CLI returns 0-3 and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "instance.json")
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            fh.write(instance)
+        argv = [command.split()[0], inst_path]
+        if command == "simple-check --vector":
+            argv.append("--vector=" + vector_text)
+        elif command == "simple-check --vector-file":
+            argv += ["--vector-file", os.path.join(tmp, "vector.json")]
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                fh.write(vector_text)
+        elif command == "square-complete":
+            argv.append(os.path.join(tmp, "corners.json"))
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                fh.write(corners_text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)

@@ -17,10 +17,12 @@ from untensor.foliation import (
     same_sheet,
     sheets_through,
     subspace_in_S,
+    tangent_equations,
+    tangent_intersection,
     tangent_space,
     transport,
 )
-from untensor.linalg import Matrix, Subspace, vadd, vector, vscale
+from untensor.linalg import Matrix, Subspace, kernel, vadd, vector, vscale
 from untensor.tensor_space import build_instance, generate_instance
 
 
@@ -91,6 +93,38 @@ class TestTangentSpace:
             tangent_space(ident22, (0, 0, 0, 0))
         with pytest.raises(NotSimpleVector):
             tangent_space(ident22, (1, 0, 0, 1))
+
+
+class TestTangentEquations:
+    def test_cache_holds_the_reduced_polar_rows(self):
+        inst = generate_instance((3, 4), 8)
+        rng = Random(4)
+        v, s = inst.sample_simple(rng), inst.sample_simple(rng)
+        cache = {}
+        meet = tangent_intersection(inst, v, s, cache)
+        assert set(cache) == {v, s}
+        for u in (v, s):
+            assert cache[u] == Subspace(inst.polar2_rows(u).rows, inst.dim).basis.rows
+            assert len(cache[u]) == inst.dim - (3 + 4 - 1)
+            assert tangent_space(inst, u, cache) == kernel(inst.polar2_rows(u))
+        assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
+
+    def test_cached_vectors_cost_no_oracle_calls(self):
+        inst = generate_instance((3, 3), 9)
+        rng = Random(5)
+        v, s = inst.sample_simple(rng), inst.sample_simple(rng)
+        cache = {}
+        first = tangent_intersection(inst, v, s, cache)
+        calls = inst.stats.oracle_calls
+        assert tangent_intersection(inst, s, v, cache) == first
+        assert tangent_equations(inst, v, cache) is cache[v]
+        assert inst.stats.oracle_calls == calls
+
+    def test_trivial_shape_has_no_equations(self):
+        inst = generate_instance((1, 4), 3)
+        v = inst.sample_simple(Random(0))
+        assert tangent_equations(inst, v) == ()
+        assert tangent_space(inst, v) == Subspace.full(4)
 
 
 class TestCrossRays:

@@ -15,6 +15,7 @@ from untensor.linalg import (
     format_scalar,
     fraction_sqrt_exact,
     integer_sqrt_exact,
+    inverse_and_determinant,
     kernel,
     linear_combination,
     parse_scalar,
@@ -116,13 +117,17 @@ class TestIntegerCoreAgainstReference:
         n = m.nrows
         det = determinant(m)
         assert det == reference_determinant(m.rows)
+        inverse, det_too = inverse_and_determinant(m)
+        assert det_too == det
         if det == 0:
+            assert inverse is None
             with pytest.raises(ValueError):
                 m.inverse()
             return
         aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m.rows)]
         reduced, _ = reference_rref(aug, 2 * n)
         assert m.inverse().rows == tuple(row[n:] for row in reduced)
+        assert inverse == m.inverse()
 
     @given(rational_matrices(), st.data())
     def test_solve_linear(self, m, data):

@@ -52,6 +52,45 @@ class TestRecoverFactors:
         assert a.product_matrix == b.product_matrix
 
 
+class ConeFace:
+    """An instance seen only through the cone oracle's public face."""
+
+    EXPOSED = frozenset(
+        {
+            "dim",
+            "quadric_count",
+            "is_simple",
+            "minor_values",
+            "polar2_values",
+            "polar2_rows",
+            "binary_restriction",
+            "sample_simple",
+            "stats",
+            "base_point",
+        }
+    )
+
+    def __init__(self, inst):
+        self._inst = inst
+
+    def __getattr__(self, name):
+        if name not in self.EXPOSED:
+            raise AttributeError(f"recovery read {name!r} behind the oracle face")
+        return getattr(self._inst, name)
+
+
+class TestOracleFace:
+    @pytest.mark.parametrize("shape,seed", [((3, 3), 4), ((2, 4), 5), ((1, 3), 6)])
+    def test_recovery_reads_only_the_oracle_face(self, shape, seed):
+        inst = generate_instance(shape, seed, pointed=True)
+        recon = recover_factors(ConeFace(inst), Random(seed))
+        phi = recon.product_matrix
+        direct = recover_factors(inst, Random(seed))
+        assert recon.pair.subspaces() == direct.pair.subspaces()
+        assert phi == direct.product_matrix
+        assert verify_round_trip(inst, recon).success
+
+
 class TestDerivedProduct:
     def test_base_point_stipulations(self):
         inst = generate_instance((3, 3), 5, pointed=True)

@@ -3,8 +3,9 @@ from random import Random
 
 import pytest
 
-from untensor.errors import PreconditionViolated
-from untensor.linalg import vadd, vscale
+from untensor import squares
+from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
+from untensor.linalg import Subspace, proportionality_ratio, vadd, vscale
 from untensor.squares import Square, complete_square, complete_square_details, is_square
 from untensor.tensor_space import build_instance, generate_instance
 
@@ -131,3 +132,80 @@ class TestCompleteSquare:
         assert is_square(inst, Square.of(a1, b1, c, d))
         assert is_square(inst, Square.of(a2, b2, c, d))
         assert is_square(inst, Square.of(vadd(a1, a2), vadd(b1, b2), c, d))
+
+
+def _independent_pair(rng, length):
+    while True:
+        u = tuple(rng.randint(-5, 5) for _ in range(length))
+        w = tuple(rng.randint(-5, 5) for _ in range(length))
+        if any(u) and proportionality_ratio(u, w) is None:
+            return u, w
+
+
+class TestGenericCompletion:
+    @pytest.mark.parametrize("shape,seed", [((3, 3), 11), ((4, 3), 12)])
+    def test_scale_is_measured_against_the_canonical_generator(self, shape, seed):
+        # d = t * u with u's first nonzero coordinate 1, so t is that coordinate of d
+        inst = generate_instance(shape, seed)
+        rng = Random(seed)
+        for _ in range(5):
+            alpha0, alpha = _independent_pair(rng, shape[0])
+            beta0, beta = _independent_pair(rng, shape[1])
+            details = complete_square_details(
+                inst,
+                inst.embed_simple(alpha0, beta0),
+                inst.embed_simple(alpha0, beta),
+                inst.embed_simple(alpha, beta0),
+            )
+            assert details.case == "generic"
+            assert details.d == inst.embed_simple(alpha, beta)
+            assert details.scale == next(x for x in details.d if x != 0)
+
+
+class TestGenericFailures:
+    """Each exact check of the generic path raises its own class."""
+
+    @pytest.fixture
+    def corners(self):
+        return build_instance((2, 2)), E11, E12, E21
+
+    def test_plane_of_wrong_dimension(self, corners, monkeypatch):
+        inst, a, b, c = corners
+        monkeypatch.setattr(squares, "tangent_intersection", lambda *args: Subspace([a, b, c], 4))
+        with pytest.raises(Degenerate):
+            complete_square_details(inst, a, b, c)
+
+    def test_plane_missing_a(self, corners, monkeypatch):
+        inst, a, b, c = corners
+        monkeypatch.setattr(squares, "tangent_intersection", lambda *args: Subspace([b, c], 4))
+        with pytest.raises(PreconditionViolated):
+            complete_square_details(inst, a, b, c)
+
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            ((0, 1, 2), (0, 1, 3)),  # quadrics disagree on the second root
+            ((0, 0, 0),),  # every quadric vanishes on the plane
+            ((0, 0, 0), (0, 0, 5)),  # double root at a
+        ],
+    )
+    def test_root_step_degenerate(self, corners, monkeypatch, forms):
+        inst, a, b, c = corners
+        monkeypatch.setattr(inst, "binary_restriction", lambda *args: tuple(tuple(F(x) for x in f) for f in forms))
+        with pytest.raises(Degenerate):
+            complete_square_details(inst, a, b, c)
+
+    @pytest.mark.parametrize(
+        "constants,slopes,error",
+        [
+            ((1, 1), (1, 2), InconsistentSquare),  # quadrics disagree on the scale
+            ((1,), (0,), InconsistentSquare),  # a quadric forbids every scale
+            ((0,), (0,), Degenerate),  # no quadric pins the scale
+        ],
+    )
+    def test_scale_step(self, corners, monkeypatch, constants, slopes, error):
+        inst, a, b, c = corners
+        monkeypatch.setattr(inst, "minor_values", lambda v: tuple(map(F, constants)))
+        monkeypatch.setattr(inst, "polar2_values", lambda x, y: tuple(map(F, slopes)))
+        with pytest.raises(error):
+            complete_square_details(inst, a, b, c)

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from untensor import linalg
 from untensor.errors import DimensionMismatch
 from untensor.linalg import Matrix, is_zero_vector, vadd, vector, vscale
 from untensor.reconstruct import recover_factors, verify_round_trip
@@ -201,6 +202,30 @@ class TestSerialization:
         again = instance_from_payload(instance_payload(inst))
         assert again.base_point == inst.base_point
         assert again.is_simple(again.base_point)
+
+    def test_pointed_load_eliminates_the_scramble_once(self, monkeypatch):
+        payload = instance_payload(generate_instance((3, 3), 13, pointed=True))
+        calls = []
+        eliminate = linalg._eliminate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        again = instance_from_payload(payload)
+        assert calls == [18]  # one pass over [scramble | I]
+        assert instance_payload(again) == payload
+
+    def test_rejects_base_point_off_the_cone(self):
+        payload = instance_payload(generate_instance((2, 3), 14, pointed=True))
+        inst = instance_from_payload(payload)
+        payload["base_point"] = [str(x) for x in vadd(inst.base_point, inst.embed_simple((1, 0), (0, 0, 1)))]
+        with pytest.raises(ValueError, match="base_point is not a nonzero simple vector"):
+            instance_from_payload(payload)
+        payload["base_point"] = ["0"] * 6
+        with pytest.raises(ValueError, match="base_point is not a nonzero simple vector"):
+            instance_from_payload(payload)
 
     def test_with_base_factors(self):
         inst = generate_instance((2, 3), 11)
