@@ -30,7 +30,7 @@ from untensor.errors import (
 )
 from untensor.linalg import Matrix, Subspace, Vector
 from untensor.tensor_space import FactorShape, QuadraticForm, TensorSpace, generate_instance
-from untensor.foliation import Ray, Sheet, SheetPair
+from untensor.foliation import Sheet, SheetPair
 
 __all__ = [
     "Degenerate",
@@ -45,7 +45,6 @@ __all__ = [
     "QuadraticForm",
     "RankDeficient",
     "RankViolation",
-    "Ray",
     "RetryExhausted",
     "Sheet",
     "SheetNotPreserved",

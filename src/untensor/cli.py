@@ -18,7 +18,7 @@ from random import Random
 
 from untensor.errors import DimensionMismatch, RetryExhausted, ToolkitError
 from untensor.foliation import tangent_space
-from untensor.linalg import format_scalar, vector
+from untensor.linalg import format_scalar, parse_vector
 from untensor.reconstruct import recover_factors, verify_round_trip
 from untensor.squares import complete_square_details
 from untensor.suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites
@@ -77,8 +77,7 @@ def _parse_vector(args, dim: int):
     else:
         raise _CliError("provide --vector or --vector-file", EXIT_MALFORMED)
     try:
-        entries = json.loads(raw)
-        v = vector(entries)
+        v = parse_vector(json.loads(raw))
     except _PARSE_ERRORS as exc:
         raise _CliError(f"cannot parse vector: {exc}", EXIT_MALFORMED) from exc
     if len(v) != dim:
@@ -122,9 +121,9 @@ def _cmd_square_complete(args) -> int:
     try:
         with open(args.corners, "r", encoding="utf-8") as fh:
             corners = json.load(fh)
-        a = vector(corners["a"])
-        b = vector(corners["b"])
-        c = vector(corners["c"])
+        a = parse_vector(corners["a"])
+        b = parse_vector(corners["b"])
+        c = parse_vector(corners["c"])
     except (OSError, *_PARSE_ERRORS) as exc:
         raise _CliError(f"cannot read corners file {args.corners!r}: {exc}", EXIT_MALFORMED) from exc
     completion = complete_square_details(inst, a, b, c)

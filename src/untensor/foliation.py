@@ -60,30 +60,10 @@ from untensor.tensor_space import TensorSpace
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A one-dimensional subspace, named by its canonical generator."""
-
-    subspace: Subspace
-
-    @property
-    def generator(self) -> Vector:
-        return ray_generator(self.subspace)
-
-    @classmethod
-    def through(cls, v: Sequence, ambient_dim: int) -> "Ray":
-        sub = Subspace([v], ambient_dim)
-        if sub.dim != 1:
-            raise ZeroVector("a ray needs a nonzero vector")
-        return cls(sub)
-
-
-@dataclass(frozen=True)
 class Sheet:
-    """A maximal linear subspace of S, plus its certification flag."""
+    """A maximal linear subspace of S."""
 
     subspace: Subspace
-    certified: bool = True
-    label: int | None = None
 
     @property
     def dim(self) -> int:
@@ -193,8 +173,9 @@ def _binary_form_roots(a, b2, c) -> tuple[tuple, tuple] | None:
     return (((-b2 + root) / (2 * a), 1), ((-b2 - root) / (2 * a), 1))
 
 
-def cross_rays(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None = None) -> tuple[Ray, Ray]:
-    """The two rays where the tangent planes of v and s pierce S.
+def cross_rays(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None = None) -> tuple[Vector, Vector]:
+    """The two rays where the tangent planes of v and s pierce S, as their
+    canonical generators (first nonzero coordinate 1) in sorted order.
 
     For generic simple v and s the intersection D of their tangent spaces
     is a plane, every quadric restricted to D is a multiple of one binary
@@ -215,12 +196,8 @@ def cross_rays(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None =
     roots = _binary_form_roots(a0, b0, c0)
     if roots is None:
         raise Degenerate("restricted quadric does not split over the rationals")
-    rays = []
-    for x, y in roots:
-        g = vadd(vscale(x, d1), vscale(y, d2))
-        rays.append(Ray.through(g, inst.dim))
-    rays.sort(key=lambda r: r.generator)
-    return (rays[0], rays[1])
+    g1, g2 = sorted(ray_generator(vadd(vscale(x, d1), vscale(y, d2))) for x, y in roots)
+    return (g1, g2)
 
 
 def sheets_through(
@@ -280,10 +257,9 @@ def sheets_through(
     for _ in range(budget):
         sample = inst.sample_simple(rng)
         try:
-            r1, r2 = cross_rays(inst, v, sample, cache)
+            g1, g2 = cross_rays(inst, v, sample, cache)
         except Degenerate:
             continue
-        g1, g2 = r1.generator, r2.generator
         if not gens[0] and not gens[1]:
             if same_sheet(inst, g1, g2):
                 continue  # the seeding pair must straddle the two sheets
@@ -307,8 +283,8 @@ def sheets_through(
             ):
                 ordered = sorted((first, second), key=lambda s: (-s.dim, s.basis.rows))
                 return SheetPair(
-                    first=Sheet(ordered[0], certified=True, label=0),
-                    second=Sheet(ordered[1], certified=True, label=1),
+                    first=Sheet(ordered[0]),
+                    second=Sheet(ordered[1]),
                     through=v,
                 )
             reset()

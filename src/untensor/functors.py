@@ -121,8 +121,8 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
         [tuple(x for row in q.gram.rows for x in row) for q in f.source.quadrics]
     )
     carrier = f.target.scramble_inverse @ f.matrix
-    for idx, minor in enumerate(f.target._minors):
-        pulled = minor_pullback_gram(carrier, minor, f.target._minor_sign(idx))
+    for minor in f.target._minors:
+        pulled = minor_pullback_gram(carrier, minor)
         flat = tuple(x for row in pulled.rows for x in row)
         if solve_linear(source_span, flat) is None:
             return False

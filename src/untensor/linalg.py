@@ -21,6 +21,7 @@ round-trip exactly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -44,8 +45,25 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-def parse_scalar(text) -> Fraction:
-    return Fraction(text)
+_SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_scalar(value) -> Fraction:
+    """Read a scalar from outside input: a JSON number, or a "p" or "p/q" string.
+
+    Any other string is refused before it reaches Fraction, which would also
+    accept decimal exponents and spend unbounded time on "1e100000000".
+    """
+    if isinstance(value, str) and not _SCALAR_TEXT.fullmatch(value):
+        raise ValueError(f"scalar {value!r} is not of the form p or p/q")
+    return frac(value)
+
+
+def parse_vector(entries) -> Vector:
+    """Read a vector from outside input: a JSON list of scalars."""
+    if not isinstance(entries, list):
+        raise TypeError(f"a vector must be a list of scalars, not {type(entries).__name__}")
+    return tuple(parse_scalar(x) for x in entries)
 
 
 def vector(entries: Iterable) -> Vector:
@@ -528,11 +546,12 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace(basis, m.ncols)
 
 
-def ray_generator(sub: Subspace) -> Vector:
-    """Canonical generator of a one-dimensional subspace."""
-    if sub.dim != 1:
-        raise ValueError("not a ray")
-    return sub.basis.rows[0]
+def ray_generator(v: Sequence[Fraction]) -> Vector:
+    """Canonical generator of the ray through a nonzero v: first nonzero coordinate 1."""
+    lead = first_nonzero_index(v)
+    if lead is None:
+        raise ValueError("a ray needs a nonzero vector")
+    return vscale(1 / v[lead], v)
 
 
 def integer_sqrt_exact(n: int) -> int | None:
@@ -575,10 +594,10 @@ def rank_one_gauge(m: Matrix) -> tuple[Vector, Vector, Fraction] | None:
     scale = m.rows[i0][j0]
     col = tuple(m.rows[i][j0] / scale for i in range(m.nrows))
     row = tuple(m.rows[i0][j] / scale for j in range(m.ncols))
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            if m.rows[i][j] != scale * col[i] * row[j]:
-                return None
+    # scale * col[i] is m[i][j0] itself, so each entry costs one product.
+    for r in m.rows:
+        if any(x != r[j0] * y for x, y in zip(r, row)):
+            return None
     return col, row, scale
 
 

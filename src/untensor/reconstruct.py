@@ -193,8 +193,8 @@ def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) 
         full = Subspace.full(inst.dim)
         ray = Subspace([w0], inst.dim)
         pair = SheetPair(
-            first=Sheet(full, certified=True, label=0),
-            second=Sheet(ray, certified=True, label=1),
+            first=Sheet(full),
+            second=Sheet(ray),
             through=w0,
         )
         return Reconstruction(inst, w0, pair)
@@ -234,26 +234,17 @@ class RoundTripReport:
         return payload
 
 
-def _row_side_vector(grid: Matrix, beta_hat: Vector) -> Vector | None:
-    """p with grid == outer(p, beta_hat), if it exists."""
-    lead = next(i for i, x in enumerate(beta_hat) if x != 0)
-    p = tuple(grid.column(lead))
-    for i in range(grid.nrows):
-        for j in range(grid.ncols):
-            if grid.rows[i][j] != p[i] * beta_hat[j]:
-                return None
-    return p
+def _side_vector(grid: Matrix, hat: Vector) -> Vector | None:
+    """p with grid == outer(p, hat) for a hat with first nonzero coordinate 1,
+    if such a nonzero p exists; the column side is this on the transpose.
 
-
-def _col_side_vector(grid: Matrix, alpha_hat: Vector) -> Vector | None:
-    """q with grid == outer(alpha_hat, q), if it exists."""
-    lead = next(i for i, x in enumerate(alpha_hat) if x != 0)
-    q = tuple(grid.rows[lead])
-    for i in range(grid.nrows):
-        for j in range(grid.ncols):
-            if grid.rows[i][j] != alpha_hat[i] * q[j]:
-                return None
-    return q
+    The rank-one gauge of grid is canonical, so its row must be hat itself.
+    """
+    gauge = rank_one_gauge(grid)
+    if gauge is None or gauge[1] != hat:
+        return None
+    col, _, scale = gauge
+    return vscale(scale, col)
 
 
 def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripReport:
@@ -304,14 +295,14 @@ def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripRepo
     first_parts = []
     for e in recon.basis_e:
         grid = inst.hidden_coordinates(e)
-        part = _col_side_vector(grid, alpha_hat) if swap else _row_side_vector(grid, beta_hat)
+        part = _side_vector(grid.transpose(), alpha_hat) if swap else _side_vector(grid, beta_hat)
         if part is None:
             return report(False, swap=swap, reason="a basis vector fails to decompose in its sheet")
         first_parts.append(part)
     second_parts = []
     for f in recon.basis_f:
         grid = inst.hidden_coordinates(f)
-        part = _row_side_vector(grid, beta_hat) if swap else _col_side_vector(grid, alpha_hat)
+        part = _side_vector(grid, beta_hat) if swap else _side_vector(grid.transpose(), alpha_hat)
         if part is None:
             return report(False, swap=swap, reason="a basis vector fails to decompose in its sheet")
         second_parts.append(part)

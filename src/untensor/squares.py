@@ -25,7 +25,7 @@ from typing import Sequence
 
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
 from untensor.foliation import same_sheet, tangent_intersection
-from untensor.linalg import Vector, first_nonzero_index, is_zero_vector, proportionality_ratio, vadd, vscale
+from untensor.linalg import Vector, is_zero_vector, proportionality_ratio, ray_generator, vadd, vscale
 from untensor.tensor_space import TensorSpace
 
 
@@ -168,7 +168,7 @@ def complete_square_details(
     if x is None:
         raise Degenerate("every quadric vanishes on the intersection plane")
     ray = vadd(p, vscale(x, a))
-    u = vscale(1 / ray[first_nonzero_index(ray)], ray)
+    u = ray_generator(ray)
     s = vadd(vadd(a, b), c)
     constants = inst.minor_values(s)
     slopes = inst.polar2_values(s, u)

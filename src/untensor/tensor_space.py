@@ -13,18 +13,31 @@ Recovery code is limited to those three.  `embed_simple` and
 `hidden_coordinates` reach behind the scramble and exist for instance
 generation, verification, and tests only.
 
-Internally the minors are evaluated through the adjugate of the
-scramble, which multiplies every quadric value by the fixed positive
-constant det(scramble)^2.  The scaled values (`minor_values`,
-`polar2_values`, `polar2_rows`, `binary_restriction`) therefore have
-exactly the same zero sets, kernels, and solution ratios as the exact
-forms; `quadric_values` and `QuadraticForm.evaluate` divide the constant
-back out when the true values matter.
+Every oracle evaluation goes through one signed-minor polar form.  The
+minors are stored once as (a, b, c, d, sign) on flat grid indices, with
+sign -1 only on the minor flipped by `inject_quadric_fault`, and
+
+    2*B_k(u, w) = u_a w_d + u_d w_a - sign * (u_b w_c + u_c w_b)
+
+on hidden coordinates u, w.  `minor_values` is Q_k = 1/2 * 2*B_k(v, v),
+`is_simple` asks that every 2*B_k(v, v) vanish, `polar2_values` is
+2*B_k(x, y), `binary_restriction(d1, d2)` is (Q_k(d1), 2*B_k(d1, d2),
+Q_k(d2)), and row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the
+columns of the adjugate.  None of these public methods calls another, so
+each query bumps exactly one `OracleStats` counter.
+
+The hidden coordinates come from the adjugate of the scramble, which
+multiplies every quadric value by the fixed positive constant
+det(scramble)^2.  The scaled values therefore have exactly the same zero
+sets, kernels, and solution ratios as the exact forms; `quadric_values`
+and `QuadraticForm.evaluate` divide the constant back out when the true
+values matter.  `quadrics` (the pulled-back Gram matrices) stays the
+independent reference the form is tested against.
 
 The adjugate is stored once as integer rows over one positive common
 denominator (1 for an integer scramble).  An oracle query clears the
-denominators of its input vector and evaluates the minors with integer
-dot products; Fractions are built only for the values it returns, and no
+denominators of its input vector and evaluates the form with integer
+arithmetic; Fractions are built only for the values it returns, and no
 per-instance cache of unscrambled vectors is kept.
 """
 
@@ -46,10 +59,10 @@ from untensor.linalg import (
     determinant,
     factor_rank_one,
     format_scalar,
-    frac,
     from_integers,
     inverse_and_determinant,
     is_zero_vector,
+    parse_vector,
     solve_linear,
     to_integers,
     vector,
@@ -103,15 +116,17 @@ class QuadraticForm:
         return sum((a * b for a, b in zip(u, gw)), ZERO)
 
 
-def minor_pullback_gram(carrier: Matrix, minor: tuple[int, int, int, int], sign: int = 1) -> Matrix:
-    """Gram matrix of the minor form x_a x_d - sign * x_b x_c pulled back
-    through the linear map given by `carrier` (x = carrier * v).
+def minor_pullback_gram(carrier: Matrix, minor: tuple[int, int, int, int, int]) -> Matrix:
+    """Gram matrix of the signed minor (a, b, c, d, sign), that is the form
+    x_a x_d - sign * x_b x_c, pulled back through the linear map given by
+    `carrier` (x = carrier * v).
 
     The four carrier rows are cleared to integers over one denominator D,
     so each entry is an integer over 2 * D^2.
     """
     dim = carrier.ncols
-    ints, den = to_integers([x for i in minor for x in carrier.rows[i]])
+    *indices, sign = minor
+    ints, den = to_integers([x for i in indices for x in carrier.rows[i]])
     ra, rb, rc, rd = (ints[k * dim : (k + 1) * dim] for k in range(4))
     scale = 2 * den * den
     gram = []
@@ -124,6 +139,23 @@ def minor_pullback_gram(carrier: Matrix, minor: tuple[int, int, int, int], sign:
             )
         )
     return Matrix(gram, dim)
+
+
+def _signed_minors(shape: FactorShape, fault_index: int | None) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The minors x_ij x_kl - x_il x_kj as (a, b, c, d, sign) on flat indices.
+
+    The sign is 1, except -1 on the minor at fault_index (a deliberately
+    wrong instance made by `inject_quadric_fault`).
+    """
+    flat = shape.flat
+    cells = [
+        (flat(i, j), flat(i, l), flat(k, j), flat(k, l))
+        for i in range(shape.m)
+        for k in range(i + 1, shape.m)
+        for j in range(shape.n)
+        for l in range(j + 1, shape.n)
+    ]
+    return tuple((*cell, -1 if idx == fault_index else 1) for idx, cell in enumerate(cells))
 
 
 @dataclass
@@ -173,11 +205,12 @@ class TensorSpace:
         # denominator _adj_den (1 whenever the scramble is integral).
         flat, self._adj_den = to_integers([x for row in self.scramble_inverse.scale(det).rows for x in row])
         self._adj_rows = tuple(flat[i * self.dim : (i + 1) * self.dim] for i in range(self.dim))
+        self._adj_cols = tuple(zip(*self._adj_rows))
         self._det2 = det * det
         self.seed = seed
         self.sampler_range = sampler_range
         self._fault_index = _fault_index
-        self._minors = tuple(self._minor_indices())
+        self._minors = _signed_minors(shape, _fault_index)
         self.stats = OracleStats()
         self._quadrics: tuple[QuadraticForm, ...] | None = None
         self.base_factors: tuple[Vector, Vector] | None = None
@@ -195,22 +228,6 @@ class TensorSpace:
         self.base_factors = (alpha, beta)
         self.base_point = self.embed_simple(alpha, beta)
 
-    def _minor_indices(self):
-        m, n = self.shape.m, self.shape.n
-        for i in range(m):
-            for k in range(i + 1, m):
-                for j in range(n):
-                    for l in range(j + 1, n):
-                        yield (
-                            self.shape.flat(i, j),
-                            self.shape.flat(i, l),
-                            self.shape.flat(k, j),
-                            self.shape.flat(k, l),
-                        )
-
-    def _minor_sign(self, index: int) -> int:
-        return 1 if index != self._fault_index else -1
-
     # -- oracle facade -----------------------------------------------------
 
     @property
@@ -222,8 +239,7 @@ class TensorSpace:
         """The scrambled minor forms x_ij x_kl - x_il x_kj, built lazily."""
         if self._quadrics is None:
             self._quadrics = tuple(
-                QuadraticForm(minor_pullback_gram(self.scramble_inverse, minor, self._minor_sign(idx)))
-                for idx, minor in enumerate(self._minors)
+                QuadraticForm(minor_pullback_gram(self.scramble_inverse, minor)) for minor in self._minors
             )
         return self._quadrics
 
@@ -237,17 +253,24 @@ class TensorSpace:
         ints, den = to_integers(v)
         return [sum(map(mul, row, ints)) for row in self._adj_rows], den * self._adj_den
 
+    def _polar2(self, u: Sequence[int], w: Sequence[int]):
+        """Yield 2*B_k(u, w) for every minor k, over the integers.
+
+        u and w are hidden coordinates (scaled by det, over their own
+        denominators); minor k = (a, b, c, d, sign) reads
+        x_a x_d - sign * x_b x_c, so 2*B_k(u, u) is twice its value and
+        always even.
+        """
+        for a, b, c, d, sign in self._minors:
+            yield u[a] * w[d] + u[d] * w[a] - sign * (u[b] * w[c] + u[c] * w[b])
+
     def minor_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """All quadric values at v, scaled by the fixed constant det^2."""
         if len(v) != self.dim:
             raise DimensionMismatch.of(self.dim, len(v))
         self.stats.quadric_evals += 1
         u, q = self._scaled_hidden(v)
-        out = []
-        for idx, (a, b, c, d) in enumerate(self._minors):
-            cross = u[b] * u[c]
-            out.append(u[a] * u[d] - cross if self._minor_sign(idx) == 1 else u[a] * u[d] + cross)
-        return from_integers(out, q * q)
+        return from_integers([x // 2 for x in self._polar2(u, u)], q * q)
 
     def quadric_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Exact values of every quadric at v."""
@@ -259,47 +282,27 @@ class TensorSpace:
             raise DimensionMismatch.of(self.dim, len(v))
         self.stats.membership += 1
         u, _ = self._scaled_hidden(v)
-        for idx, (a, b, c, d) in enumerate(self._minors):
-            if self._minor_sign(idx) == 1:
-                if u[a] * u[d] != u[b] * u[c]:
-                    return False
-            elif u[a] * u[d] + u[b] * u[c] != 0:
-                return False
-        return True
+        return not any(self._polar2(u, u))
 
     def polar2_values(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """2*B_k(x, y) for every quadric, scaled by det^2."""
         self.stats.polarizations += 1
         u, qu = self._scaled_hidden(x)
         w, qw = self._scaled_hidden(y)
-        out = []
-        for idx, (a, b, c, d) in enumerate(self._minors):
-            cross = u[b] * w[c] + u[c] * w[b]
-            direct = u[a] * w[d] + u[d] * w[a]
-            out.append(direct - cross if self._minor_sign(idx) == 1 else direct + cross)
-        return from_integers(out, qu * qw)
+        return from_integers(list(self._polar2(u, w)), qu * qw)
 
     def polar2_rows(self, v: Sequence[Fraction]) -> Matrix:
         """The stacked linear functionals w -> 2*B_k(v, w), one row per quadric.
 
-        Rows share the det^2 scale, so kernels and solution ratios agree
-        with the exact polarizations.
+        Column p holds the form against column p of the adjugate.  Rows
+        share the det^2 scale, so kernels and solution ratios agree with
+        the exact polarizations.
         """
         self.stats.polarizations += 1
         u, q = self._scaled_hidden(v)
-        w_rows = self._adj_rows
         den = q * self._adj_den
-        rows = []
-        for idx, (a, b, c, d) in enumerate(self._minors):
-            sign = self._minor_sign(idx)
-            ra, rb, rc, rd = w_rows[a], w_rows[b], w_rows[c], w_rows[d]
-            ua, ub, uc, ud = u[a], u[b], u[c], u[d]
-            if sign == 1:
-                row = [ud * pa + ua * pd - uc * pb - ub * pc for pa, pb, pc, pd in zip(ra, rb, rc, rd)]
-            else:
-                row = [ud * pa + ua * pd + uc * pb + ub * pc for pa, pb, pc, pd in zip(ra, rb, rc, rd)]
-            rows.append(from_integers(row, den))
-        return Matrix(rows, self.dim)
+        columns = [tuple(self._polar2(u, col)) for col in self._adj_cols]
+        return Matrix([from_integers(row, den) for row in zip(*columns)], self.dim)
 
     def binary_restriction(
         self, d1: Sequence[Fraction], d2: Sequence[Fraction]
@@ -309,19 +312,10 @@ class TensorSpace:
         self.stats.polarizations += 1
         u, qu = self._scaled_hidden(d1)
         w, qw = self._scaled_hidden(d2)
-        out = []
-        for idx, (a, b, c, d) in enumerate(self._minors):
-            sign = self._minor_sign(idx)
-            if sign == 1:
-                qa = u[a] * u[d] - u[b] * u[c]
-                qc = w[a] * w[d] - w[b] * w[c]
-                qb = u[a] * w[d] + u[d] * w[a] - u[b] * w[c] - u[c] * w[b]
-            else:
-                qa = u[a] * u[d] + u[b] * u[c]
-                qc = w[a] * w[d] + w[b] * w[c]
-                qb = u[a] * w[d] + u[d] * w[a] + u[b] * w[c] + u[c] * w[b]
-            out.append((Fraction(qa, qu * qu), Fraction(qb, qu * qw), Fraction(qc, qw * qw)))
-        return tuple(out)
+        return tuple(
+            (Fraction(qa // 2, qu * qu), Fraction(qb, qu * qw), Fraction(qc // 2, qw * qw))
+            for qa, qb, qc in zip(self._polar2(u, u), self._polar2(u, w), self._polar2(w, w))
+        )
 
     def sample_simple(self, rng: Random) -> Vector:
         """A random member of S: the image of a random nonzero integer grid."""
@@ -506,11 +500,11 @@ def instance_from_payload(payload: dict) -> TensorSpace:
     """The instance a payload describes; the base point is factored through
     the instance itself, so the scramble is eliminated once."""
     shape = FactorShape(int(payload["m"]), int(payload["n"]))
-    scramble = Matrix([[frac(x) for x in row] for row in payload["scramble"]], shape.dim)
+    scramble = Matrix([parse_vector(row) for row in payload["scramble"]], shape.dim)
     sampler_range = int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE))
     inst = TensorSpace(shape, scramble, seed=payload.get("seed"), sampler_range=sampler_range)
     if payload.get("base_point") is not None:
-        factors = factor_rank_one(inst.hidden_coordinates(vector(payload["base_point"])))
+        factors = factor_rank_one(inst.hidden_coordinates(parse_vector(payload["base_point"])))
         if factors is None or is_zero_vector(factors[0]):
             raise ValueError("base_point is not a nonzero simple vector")
         inst._point_at(*factors)

@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,40 @@ class TestRecover:
         assert code == 3
 
 
+# (m, n, seed) -> (sha256 of `gen --pointed`, `recover --seed <seed>` report).
+# Frozen values: a refactor that claims identical behaviour must keep them.
+_GOLDEN = {
+    (2, 3, 1): (
+        "72133e7e6c354423784634c05379c3e5726d1b11e908a0163651971bfe3d2db6",
+        {"lambda": "-100", "oracle_calls": 86, "samples_used": 2, "sheet_dims": [3, 2], "swap": True},
+    ),
+    (3, 3, 1): (
+        "9d7c61fd3dd7b8726fb4657173a857426a0e7c1314e389885f07d89009f0acea",
+        {"lambda": "-32", "oracle_calls": 120, "samples_used": 2, "sheet_dims": [3, 3], "swap": True},
+    ),
+    (3, 4, 1): (
+        "c09d5023e70fa05d53245dedb8dcb85c0c1595dd07f59ebf32d6ba95e988aea1",
+        {"lambda": "6", "oracle_calls": 159, "samples_used": 3, "sheet_dims": [4, 3], "swap": True},
+    ),
+    (3, 3, 2): (
+        "273b683aa4679362c239bd90dd07ed6e92c5027fc610848858fbcbe3a15b247c",
+        {"lambda": "30", "oracle_calls": 120, "samples_used": 2, "sheet_dims": [3, 3], "swap": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("m, n, seed", sorted(_GOLDEN))
+def test_golden_gen_and_recover_bytes(tmp_path, capsys, m, n, seed):
+    digest, fields = _GOLDEN[(m, n, seed)]
+    inst = tmp_path / "g.json"
+    run(capsys, "gen", "--m", str(m), "--n", str(n), "--seed", str(seed), "--pointed", "--out", str(inst), "--quiet")
+    assert hashlib.sha256(inst.read_bytes()).hexdigest() == digest
+    code, out = run(capsys, "recover", str(inst), "--seed", str(seed))
+    assert code == 0
+    expected = {"success": True, "m": m, "n": n, **fields}
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 class TestSimpleCheckAndSquares:
     @pytest.fixture
     def ident_file(self, tmp_path):
@@ -164,6 +200,44 @@ class TestSimpleCheckAndSquares:
     def test_simple_check_infinite_scalar_exit_2(self, capsys, ident_file):
         code, _ = run(capsys, "simple-check", str(ident_file), "--vector", "[Infinity, 0, 0, 0]")
         assert code == 2
+
+    def test_simple_check_string_vector_exit_2(self, capsys, ident_file):
+        # a JSON string is iterable, but its characters are not a vector
+        code, _ = run(capsys, "simple-check", str(ident_file), "--vector", '"1234"')
+        assert code == 2
+
+    def test_square_complete_string_corner_exit_2(self, tmp_path, capsys, ident_file):
+        corners = tmp_path / "c.json"
+        corners.write_text(json.dumps({"a": "1234", "b": [0, 1, 0, 0], "c": [0, 0, 1, 0]}))
+        code, _ = run(capsys, "square-complete", str(ident_file), str(corners))
+        assert code == 2
+
+    @pytest.mark.parametrize("text", ["1e100000000", "1.5", " 1"])
+    @pytest.mark.parametrize("where", ["instance", "base_point", "--vector", "--vector-file", "corners"])
+    def test_scalar_not_p_or_p_over_q_exit_2(self, tmp_path, capsys, ident_file, where, text):
+        # Fraction would accept a decimal exponent and spend minutes on 10**100000000
+        vec = json.dumps([text, 0, 0, 0])
+        args = ["simple-check", str(ident_file), "--vector", "[1, 0, 0, 0]"]
+        if where in ("instance", "base_point"):
+            payload = json.loads(ident_file.read_text())
+            if where == "instance":
+                payload["scramble"][0][0] = text
+            else:
+                payload["base_point"] = [text, "0", "0", "0"]
+            ident_file.write_text(json.dumps(payload))
+        elif where == "--vector":
+            args[3] = vec
+        elif where == "--vector-file":
+            (tmp_path / "v.json").write_text(vec)
+            args[2:4] = ["--vector-file", str(tmp_path / "v.json")]
+        else:
+            corners = tmp_path / "c.json"
+            corners.write_text(json.dumps({"a": json.loads(vec), "b": [0, 1, 0, 0], "c": [0, 0, 1, 0]}))
+            args = ["square-complete", str(ident_file), str(corners)]
+        start = time.perf_counter()
+        code, _ = run(capsys, *args)
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
 
     def test_square_complete(self, tmp_path, capsys, ident_file):
         corners = tmp_path / "corners.json"

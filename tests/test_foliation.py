@@ -129,9 +129,9 @@ class TestTangentEquations:
 
 class TestCrossRays:
     def test_hand_example(self, ident22):
-        r1, r2 = cross_rays(ident22, (1, 0, 0, 0), (0, 0, 0, 1))
-        assert r1.generator == (F(0), F(0), F(1), F(0))
-        assert r2.generator == (F(0), F(1), F(0), F(0))
+        g1, g2 = cross_rays(ident22, (1, 0, 0, 0), (0, 0, 0, 1))
+        assert g1 == (F(0), F(0), F(1), F(0))
+        assert g2 == (F(0), F(1), F(0), F(0))
 
     def test_proportional_inputs_degenerate(self, ident22):
         with pytest.raises(Degenerate):
@@ -153,8 +153,7 @@ class TestCrossRays:
             except Degenerate:
                 continue
             checked += 1
-            for ray in rays:
-                g = ray.generator
+            for g in rays:
                 assert inst.is_simple(g)
                 assert inst.is_simple(vadd(v, g))
 

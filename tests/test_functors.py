@@ -129,7 +129,7 @@ class TestDecomposition:
         # scalar absorbed by the base-factor gauge
         from untensor.functors import _factor_maps
         from untensor.linalg import rank_one_gauge
-        from untensor.reconstruct import _col_side_vector, _row_side_vector
+        from untensor.reconstruct import _side_vector
 
         inst_a, pm, inst_b = compatible_pair((2, 3), 43)
         f = tensor_morphism(inst_a, inst_b, pm)
@@ -143,7 +143,7 @@ class TestDecomposition:
             parts = []
             for v in basis:
                 grid = inst.hidden_coordinates(v)
-                part = _row_side_vector(grid, bhat) if side == "row" else _col_side_vector(grid, ahat)
+                part = _side_vector(grid, bhat) if side == "row" else _side_vector(grid.transpose(), ahat)
                 assert part is not None
                 parts.append(part)
             return Matrix.from_columns(parts)

@@ -333,5 +333,8 @@ class TestMatrixOps:
             assert (determinant(m) != 0) == (m.rank() == 4)
 
     def test_ray_generator_normalized(self):
-        r = Subspace([(0, 3, 6)], 3)
-        assert ray_generator(r) == (F(0), F(1), F(2))
+        assert ray_generator(vector([0, 3, 6])) == (F(0), F(1), F(2))
+        assert ray_generator(vector([0, F(-1, 2), 6])) == (F(0), F(1), F(-12))
+        assert ray_generator(vector([0, 3, 6])) == Subspace([(0, 3, 6)], 3).basis.rows[0]
+        with pytest.raises(ValueError):
+            ray_generator(vector([0, 0, 0]))

@@ -135,15 +135,35 @@ class TestEmbed:
 
 class TestQuadricConsistency:
     def test_fast_values_equal_gram_values(self):
-        inst = generate_instance((3, 3), 19)
-        rng = Random(2)
-        for _ in range(20):
-            v = vector([rng.randint(-5, 5) for _ in range(9)])
-            w = vector([rng.randint(-5, 5) for _ in range(9)])
-            assert list(inst.quadric_values(v)) == [q.evaluate(v) for q in inst.quadrics]
-            scaled = inst.polar2_values(v, w)
-            exact = [2 * q.polarize(v, w) for q in inst.quadrics]
-            assert [x / inst._det2 for x in scaled] == exact
+        # every oracle method's one integer form against the Gram matrices of
+        # `quadrics`, on an integer, a p/q and a sign-faulted scramble
+        base = generate_instance((3, 2), 31).scramble
+        rational = build_instance((3, 2), Matrix([[x / (i + 2) for x in row] for i, row in enumerate(base.rows)]))
+        faulted = inject_quadric_fault(generate_instance((3, 3), 19), index=4)
+        for inst in (generate_instance((3, 3), 19), rational, faulted):
+            quadrics, det2 = inst.quadrics, inst._det2
+            rng = Random(5)
+            unit = vector([1] + [0] * (inst.shape.m - 1))
+            on_cone = 0
+            for i in range(30):
+                if i % 3 == 0:
+                    v = inst.sample_simple(rng)
+                elif i % 3 == 1:
+                    # one nonzero hidden row: every minor vanishes, faulted or not
+                    v = inst.embed_simple(unit, [rng.randint(-4, 4) for _ in range(inst.shape.n)])
+                else:
+                    v = vector([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(inst.dim)])
+                w = vector([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(inst.dim)])
+                reference = [q.evaluate(v) for q in quadrics]
+                assert [x / det2 for x in inst.minor_values(v)] == reference
+                assert list(inst.quadric_values(v)) == reference
+                assert inst.is_simple(v) == all(x == 0 for x in reference)
+                on_cone += inst.is_simple(v)
+                polar = inst.polar2_values(v, w)
+                assert [x / det2 for x in polar] == [2 * q.polarize(v, w) for q in quadrics]
+                assert inst.polar2_rows(v).apply(w) == polar
+                assert inst.binary_restriction(v, w) == tuple(zip(inst.minor_values(v), polar, inst.minor_values(w)))
+            assert 0 < on_cone < 30
 
     def test_polarization_identity(self):
         inst = generate_instance((2, 3), 23)
