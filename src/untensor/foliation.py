@@ -17,8 +17,9 @@ be dug out of S alone:
   stacked, and `cross_rays(v, s)` splits it for two generic simple
   vectors: the intersection is a plane whose trace on S is exactly two
   rational rays, one in each sheet through v.
-* `sheets_through(v)` harvests cross rays from random samples and clusters
-  them into the two sheets, certifying the result with `subspace_in_S`.
+* `sheets_through(v)` takes the two cross rays g1, g2 of v and one random
+  sample; each sheet through v is then T(v) ∩ T(g_i), and the pair is
+  certified with `subspace_in_S`.
 * `transport` carries vectors between two sheets of one foliation along
   the ray correspondence, normalized by a chosen pair of reference
   vectors; it is realized by square completion.
@@ -51,7 +52,6 @@ from untensor.linalg import (
     fraction_sqrt_exact,
     is_zero_vector,
     kernel,
-    proportionality_ratio,
     ray_generator,
     vadd,
     vscale,
@@ -79,7 +79,6 @@ class SheetPair:
 
     first: Sheet
     second: Sheet
-    through: Vector
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -205,17 +204,18 @@ def sheets_through(
     v: Sequence,
     rng: Random,
     *,
-    max_samples: int | None = None,
     cache: dict | None = None,
 ) -> SheetPair:
     """Both maximal linear subspaces of S through the simple vector v.
 
-    Random samples feed `cross_rays`; each successful sample donates one
-    new ray to each sheet.  Rays are clustered by `same_sheet` votes
-    against the rays accepted so far, and a (dim1 * dim2 == dim V) stop
-    rule plus full `subspace_in_S` certification make acceptance sound:
-    a clustering corrupted by a measure-zero coincidence cannot certify,
-    and triggers a restart instead.
+    A random sample s gives the two cross rays g1, g2 of v and s, one in
+    each sheet through v.  Since T(v) is the span of those two sheets and
+    sheets of different foliations meet in a ray, T(v) ∩ T(g) is exactly the
+    sheet through v that holds g.  The pair is accepted when its dimensions
+    satisfy d1 * d2 == dim V and d1 + d2 == m + n, both sheets pass
+    `subspace_in_S`, and they meet in a ray; otherwise (for instance when a
+    cross ray is the ray of v, whose intersection is all of T(v)) the next
+    sample is drawn.
     """
     v = tuple(v)
     if inst.quadric_count == 0:
@@ -228,66 +228,23 @@ def sheets_through(
         cache = {}
     tangent_dim = inst.dim - len(tangent_equations(inst, v, cache))
     # tangent_dim + 1 == m + n, read off the cone instead of the hidden shape.
-    budget = max_samples if max_samples is not None else 64 * (tangent_dim + 1)
-
-    gens: tuple[list[Vector], list[Vector]] = ([], [])
-    spans: list[Subspace | None] = [None, None]
-
-    def reset() -> None:
-        gens[0].clear()
-        gens[1].clear()
-        spans[0] = spans[1] = None
-
-    def span_of(side: int) -> Subspace:
-        if spans[side] is None:
-            spans[side] = Subspace([v, *gens[side]], inst.dim)
-        return spans[side]
-
-    def try_accept(g: Vector) -> None:
-        if span_of(0).contains(g) or span_of(1).contains(g):
-            return
-        in_first = all(same_sheet(inst, g, u) for u in gens[0])
-        in_second = all(same_sheet(inst, g, u) for u in gens[1])
-        if in_first == in_second:
-            return  # ambiguous vote; leave it to a later sample
-        side = 0 if in_first else 1
-        gens[side].append(g)
-        spans[side] = None
-
+    budget = 64 * (tangent_dim + 1)
     for _ in range(budget):
         sample = inst.sample_simple(rng)
         try:
-            g1, g2 = cross_rays(inst, v, sample, cache)
+            rays = cross_rays(inst, v, sample, cache)
         except Degenerate:
             continue
-        if not gens[0] and not gens[1]:
-            if same_sheet(inst, g1, g2):
-                continue  # the seeding pair must straddle the two sheets
-            ratio1 = proportionality_ratio(v, g1)
-            ratio2 = proportionality_ratio(v, g2)
-            if ratio1 is not None or ratio2 is not None:
-                continue
-            gens[0].append(g1)
-            gens[1].append(g2)
-            spans[0] = spans[1] = None
-        else:
-            try_accept(g1)
-            try_accept(g2)
-        d1, d2 = span_of(0).dim, span_of(1).dim
-        if d1 * d2 == inst.dim and d1 + d2 == tangent_dim + 1:
-            first, second = span_of(0), span_of(1)
-            if (
-                subspace_in_S(inst, first)
-                and subspace_in_S(inst, second)
-                and first.intersect(second).dim == 1
-            ):
-                ordered = sorted((first, second), key=lambda s: (-s.dim, s.basis.rows))
-                return SheetPair(
-                    first=Sheet(ordered[0]),
-                    second=Sheet(ordered[1]),
-                    through=v,
-                )
-            reset()
+        first, second = (tangent_intersection(inst, v, g, cache) for g in rays)
+        if (
+            first.dim * second.dim == inst.dim
+            and first.dim + second.dim == tangent_dim + 1
+            and subspace_in_S(inst, first)
+            and subspace_in_S(inst, second)
+            and first.intersect(second).dim == 1
+        ):
+            ordered = sorted((first, second), key=lambda s: (-s.dim, s.basis.rows))
+            return SheetPair(first=Sheet(ordered[0]), second=Sheet(ordered[1]))
     raise RetryExhausted(f"no certified sheet pair within {budget} samples")
 
 

@@ -49,14 +49,19 @@ _SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_scalar(value) -> Fraction:
-    """Read a scalar from outside input: a JSON number, or a "p" or "p/q" string.
+    """Read a scalar from outside input: a JSON integer, or a "p" or "p/q" string.
 
-    Any other string is refused before it reaches Fraction, which would also
-    accept decimal exponents and spend unbounded time on "1e100000000".
+    Anything else is refused before it reaches Fraction, which would also
+    accept decimal exponents (spending unbounded time on "1e100000000"),
+    read a JSON boolean as 0 or 1, and read a JSON float such as 0.1 as its
+    binary approximation.
     """
-    if isinstance(value, str) and not _SCALAR_TEXT.fullmatch(value):
-        raise ValueError(f"scalar {value!r} is not of the form p or p/q")
-    return frac(value)
+    if isinstance(value, str):
+        if not _SCALAR_TEXT.fullmatch(value):
+            raise ValueError(f"scalar {value!r} is not of the form p or p/q")
+    elif type(value) is not int:
+        raise TypeError(f"scalar {value!r} is neither a JSON integer nor a p or p/q string")
+    return Fraction(value)
 
 
 def parse_vector(entries) -> Vector:
@@ -472,15 +477,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch.of(self.ambient_dim, len(v))
-        residual = list(v)
-        for row in self.basis.rows:
-            lead = first_nonzero_index(row)
-            coeff = residual[lead]
-            if coeff != 0:
-                residual = [a - coeff * b for a, b in zip(residual, row)]
-        return all(a == 0 for a in residual)
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients of v against the canonical basis, or None if outside."""

@@ -192,11 +192,7 @@ def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) 
     if inst.quadric_count == 0:
         full = Subspace.full(inst.dim)
         ray = Subspace([w0], inst.dim)
-        pair = SheetPair(
-            first=Sheet(full),
-            second=Sheet(ray),
-            through=w0,
-        )
+        pair = SheetPair(first=Sheet(full), second=Sheet(ray))
         return Reconstruction(inst, w0, pair)
     cache: dict = {}
     pair = sheets_through(inst, w0, rng, cache=cache)

@@ -496,13 +496,23 @@ def instance_payload(inst: TensorSpace) -> dict:
     return payload
 
 
+def _json_int(value, key: str) -> int:
+    """A payload field that the file format promises to be a JSON integer."""
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, not {value!r}")
+    return value
+
+
 def instance_from_payload(payload: dict) -> TensorSpace:
     """The instance a payload describes; the base point is factored through
     the instance itself, so the scramble is eliminated once."""
-    shape = FactorShape(int(payload["m"]), int(payload["n"]))
+    shape = FactorShape(_json_int(payload["m"], "m"), _json_int(payload["n"], "n"))
     scramble = Matrix([parse_vector(row) for row in payload["scramble"]], shape.dim)
-    sampler_range = int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE))
-    inst = TensorSpace(shape, scramble, seed=payload.get("seed"), sampler_range=sampler_range)
+    sampler_range = _json_int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE), "sampler_range")
+    seed = payload.get("seed")
+    if seed is not None:
+        _json_int(seed, "seed")
+    inst = TensorSpace(shape, scramble, seed=seed, sampler_range=sampler_range)
     if payload.get("base_point") is not None:
         factors = factor_rank_one(inst.hidden_coordinates(parse_vector(payload["base_point"])))
         if factors is None or is_zero_vector(factors[0]):

@@ -141,19 +141,19 @@ class TestRecover:
 _GOLDEN = {
     (2, 3, 1): (
         "72133e7e6c354423784634c05379c3e5726d1b11e908a0163651971bfe3d2db6",
-        {"lambda": "-100", "oracle_calls": 86, "samples_used": 2, "sheet_dims": [3, 2], "swap": True},
+        {"lambda": "-100", "oracle_calls": 84, "samples_used": 1, "sheet_dims": [3, 2], "swap": True},
     ),
     (3, 3, 1): (
         "9d7c61fd3dd7b8726fb4657173a857426a0e7c1314e389885f07d89009f0acea",
-        {"lambda": "-32", "oracle_calls": 120, "samples_used": 2, "sheet_dims": [3, 3], "swap": True},
+        {"lambda": "-32", "oracle_calls": 116, "samples_used": 1, "sheet_dims": [3, 3], "swap": True},
     ),
     (3, 4, 1): (
         "c09d5023e70fa05d53245dedb8dcb85c0c1595dd07f59ebf32d6ba95e988aea1",
-        {"lambda": "6", "oracle_calls": 159, "samples_used": 3, "sheet_dims": [4, 3], "swap": True},
+        {"lambda": "6", "oracle_calls": 149, "samples_used": 1, "sheet_dims": [4, 3], "swap": True},
     ),
     (3, 3, 2): (
         "273b683aa4679362c239bd90dd07ed6e92c5027fc610848858fbcbe3a15b247c",
-        {"lambda": "30", "oracle_calls": 120, "samples_used": 2, "sheet_dims": [3, 3], "swap": False},
+        {"lambda": "30", "oracle_calls": 116, "samples_used": 1, "sheet_dims": [3, 3], "swap": False},
     ),
 }
 
@@ -212,7 +212,7 @@ class TestSimpleCheckAndSquares:
         code, _ = run(capsys, "square-complete", str(ident_file), str(corners))
         assert code == 2
 
-    @pytest.mark.parametrize("text", ["1e100000000", "1.5", " 1"])
+    @pytest.mark.parametrize("text", ["1e100000000", "1.5", " 1", True, 0.1])
     @pytest.mark.parametrize("where", ["instance", "base_point", "--vector", "--vector-file", "corners"])
     def test_scalar_not_p_or_p_over_q_exit_2(self, tmp_path, capsys, ident_file, where, text):
         # Fraction would accept a decimal exponent and spend minutes on 10**100000000
@@ -238,6 +238,26 @@ class TestSimpleCheckAndSquares:
         code, _ = run(capsys, *args)
         assert code == 2
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", 2.9),
+            ("m", True),
+            ("n", 2.0),
+            ("sampler_range", 1.5),
+            ("sampler_range", True),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("seed", False),
+        ],
+    )
+    def test_integer_field_not_json_integer_exit_2(self, capsys, ident_file, field, value):
+        payload = json.loads(ident_file.read_text())
+        payload[field] = value
+        ident_file.write_text(json.dumps(payload))
+        code, _ = run(capsys, "simple-check", str(ident_file), "--vector", "[1, 0, 0, 0]")
+        assert code == 2
 
     def test_square_complete(self, tmp_path, capsys, ident_file):
         corners = tmp_path / "corners.json"

@@ -222,8 +222,36 @@ class TestSheetsThrough:
 
         inst = generate_instance((2, 2), 13)
         w0 = inst.sample_simple(Random(5))
+        draws = []
+
+        def multiples_of_w0(rng):
+            # every tangent intersection with a multiple of w0 is all of T(w0)
+            draws.append(rng)
+            return vscale(len(draws), w0)
+
+        inst.sample_simple = multiples_of_w0
         with pytest.raises(RetryExhausted):
-            sheets_through(inst, w0, Random(6), max_samples=0)
+            sheets_through(inst, w0, Random(6))
+        assert len(draws) == 64 * (2 + 2)
+
+    @pytest.mark.parametrize("shape, seed", [((3, 3), 21), ((3, 4), 22), ((4, 4), 23)])
+    def test_one_sample_gives_two_tangent_intersections(self, shape, seed):
+        inst = generate_instance(shape, seed, pointed=True)
+        v = inst.base_point
+        draw = inst.sample_simple
+        samples = []
+
+        def recording(rng):
+            samples.append(draw(rng))
+            return samples[-1]
+
+        inst.sample_simple = recording
+        pair = sheets_through(inst, v, Random(seed))
+        assert len(samples) == 1
+        rays = cross_rays(inst, v, samples[0])
+        for sheet in (pair.first, pair.second):
+            (g,) = [g for g in rays if sheet.contains(g)]
+            assert sheet.subspace == tangent_intersection(inst, v, g)
 
 
 class TestSameFoliation:
