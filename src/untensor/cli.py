@@ -25,8 +25,8 @@ from untensor.suites import DEFAULT_TRIALS, SUITE_NAMES, run_suites
 from untensor.tensor_space import (
     dump_json,
     generate_instance,
-    instance_from_payload,
     instance_payload,
+    load_instance,
 )
 
 EXIT_OK = 0
@@ -58,9 +58,7 @@ def _emit(text: str, out_path: str | None, quiet: bool) -> None:
 
 def _load_instance(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return instance_from_payload(payload)
+        return load_instance(path)
     except (OSError, DimensionMismatch, *_PARSE_ERRORS) as exc:
         raise _CliError(f"cannot read instance file {path!r}: {exc}", EXIT_MALFORMED) from exc
 

@@ -19,7 +19,8 @@ be dug out of S alone:
   rational rays, one in each sheet through v.
 * `sheets_through(v)` takes the two cross rays g1, g2 of v and one random
   sample; each sheet through v is then T(v) ∩ T(g_i), and the pair is
-  certified with `subspace_in_S`.
+  certified with `subspace_in_S`.  It keeps its own tangent cache for the
+  one call.
 * `transport` carries vectors between two sheets of one foliation along
   the ray correspondence, normalized by a chosen pair of reference
   vectors; it is realized by square completion.
@@ -199,13 +200,7 @@ def cross_rays(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None =
     return (g1, g2)
 
 
-def sheets_through(
-    inst: TensorSpace,
-    v: Sequence,
-    rng: Random,
-    *,
-    cache: dict | None = None,
-) -> SheetPair:
+def sheets_through(inst: TensorSpace, v: Sequence, rng: Random) -> SheetPair:
     """Both maximal linear subspaces of S through the simple vector v.
 
     A random sample s gives the two cross rays g1, g2 of v and s, one in
@@ -215,7 +210,9 @@ def sheets_through(
     satisfy d1 * d2 == dim V and d1 + d2 == m + n, both sheets pass
     `subspace_in_S`, and they meet in a ray; otherwise (for instance when a
     cross ray is the ray of v, whose intersection is all of T(v)) the next
-    sample is drawn.
+    sample is drawn.  The tangent cache lives for this one call: the
+    equations of v are reused by every sample, and no other caller reads
+    the sample-side entries.
     """
     v = tuple(v)
     if inst.quadric_count == 0:
@@ -224,8 +221,7 @@ def sheets_through(
         raise ZeroVector("sheets are anchored at a nonzero vector")
     if not inst.is_simple(v):
         raise NotSimpleVector("sheets exist through simple vectors only")
-    if cache is None:
-        cache = {}
+    cache: dict = {}
     tangent_dim = inst.dim - len(tangent_equations(inst, v, cache))
     # tangent_dim + 1 == m + n, read off the cone instead of the hidden shape.
     budget = 64 * (tangent_dim + 1)

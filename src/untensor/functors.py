@@ -6,7 +6,8 @@ pairs of invertible matrices; on the other side they are `TensorSpace`
 instances, acted on by invertible linear maps that carry the rank-one cone
 of the source onto that of the target.  `tensor_morphism` realizes the
 product functor on morphisms, `is_cone_morphism` certifies cone
-preservation by exact degree-two ideal membership, and
+preservation by exact degree-two ideal membership, read through the
+public polar form of both oracles, and
 `induced_factor_maps` realizes the decomposition functor on morphisms by
 restricting to the recovered sheets.
 
@@ -14,7 +15,8 @@ The two naturality checks are exact matrix identities.  On the pair side
 the bridge sends a factor vector to its product with the opposite base
 factor.  On the product side the bridge is the reconstruction's product
 map; without matched base points its commutation holds only up to one
-global scalar, which `product_commutation_scale` extracts, and which is
+global scalar, which `product_commutation_scale` extracts with one
+`proportionality_ratio` over the flattened matrices, and which is
 the same obstruction that makes the product functor many-to-one on
 morphism pairs (`gl1_demo`).
 """
@@ -36,11 +38,12 @@ from untensor.linalg import (
     Subspace,
     Vector,
     frac,
+    is_zero_vector,
     proportionality_ratio,
     solve_linear,
 )
 from untensor.reconstruct import Reconstruction
-from untensor.tensor_space import TensorSpace, minor_pullback_gram
+from untensor.tensor_space import TensorSpace
 from untensor.foliation import Sheet
 
 
@@ -101,9 +104,15 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
     """Certify that f carries the source cone exactly onto the target cone.
 
     Each target quadric pulled back through f must lie in the span of the
-    source quadrics (one exact linear solve per quadric); the two spans
-    have the minors as bases, so equal counts plus one-way containment
-    plus invertibility force equality of the cones.
+    source quadrics; the two spans have the minors as bases, so equal
+    counts plus one-way containment plus invertibility force equality of
+    the cones.  A quadratic form is fixed by its polar values on the unit
+    pairs (e_p, e_q), p <= q, and the pullback of a target form takes the
+    values of the form itself on (f e_p, f e_q).  So S holds the source's
+    `polar2_values` on the unit pairs, T holds the target's on their
+    images, one column per quadric, and containment is rank(S) ==
+    rank([S | T]).  The det^2 scale of each oracle rescales whole columns
+    and leaves both ranks unchanged.
     """
     if f.source.dim != f.target.dim:
         return False
@@ -117,16 +126,12 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
         return False
     if f.source.quadric_count == 0:
         return True
-    source_span = Matrix.from_columns(
-        [tuple(x for row in q.gram.rows for x in row) for q in f.source.quadrics]
-    )
-    carrier = f.target.scramble_inverse @ f.matrix
-    for minor in f.target._minors:
-        pulled = minor_pullback_gram(carrier, minor)
-        flat = tuple(x for row in pulled.rows for x in row)
-        if solve_linear(source_span, flat) is None:
-            return False
-    return True
+    units = Matrix.identity(f.source.dim).rows
+    images = f.matrix.columns()
+    pairs = [(p, q) for q in range(f.source.dim) for p in range(q + 1)]
+    source = Matrix([f.source.polar2_values(units[p], units[q]) for p, q in pairs])
+    both = Matrix([s + f.target.polar2_values(images[p], images[q]) for s, (p, q) in zip(source.rows, pairs)])
+    return source.rank() == both.rank()
 
 
 def preserves_cone_empirically(f: LinearMorphism, rng, trials: int = 50) -> bool:
@@ -265,7 +270,7 @@ def product_commutation_scale(
     lhs = f.matrix @ recon_s.product_matrix
     d1s, d2s = recon_s.dims
     phi_t = recon_t.product_matrix
-    columns = []
+    rhs = []  # column-major, like the flattened lhs
     for j in range(d1s):
         for k in range(d2s):
             if crossed:
@@ -273,23 +278,10 @@ def product_commutation_scale(
             else:
                 first, second = f1.column(j), f2.column(k)
             coeff = tuple(x * y for x in first for y in second)
-            columns.append(phi_t.apply(coeff))
-    rhs = Matrix.from_columns(columns)
-    lam: Fraction | None = None
-    for lrow, rrow in zip(lhs.rows, rhs.rows):
-        for x, y in zip(lrow, rrow):
-            if y != 0:
-                lam = x / y
-                break
-        if lam is not None:
-            break
-    if lam is None:
+            rhs.extend(phi_t.apply(coeff))
+    if is_zero_vector(rhs):
         return None
-    for lrow, rrow in zip(lhs.rows, rhs.rows):
-        for x, y in zip(lrow, rrow):
-            if x != lam * y:
-                return None
-    return lam
+    return proportionality_ratio(rhs, [x for column in lhs.columns() for x in column])
 
 
 def check_product_side_naturality(

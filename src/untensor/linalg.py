@@ -85,12 +85,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector lengths differ")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(t, v: Vector) -> Vector:
     t = frac(t)
     return tuple(t * a for a in v)
@@ -182,17 +176,11 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -205,25 +193,6 @@ class Matrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.ncols))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shapes differ")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shapes differ")
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.ncols,
-        )
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
 
     def scale(self, t) -> "Matrix":
         t = frac(t)
@@ -500,26 +469,15 @@ class Subspace:
         return Subspace(self.basis.rows + other.basis.rows, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Largest subspace contained in both.
+        """Largest subspace contained in both: the kernel of both equation sets stacked.
 
-        Stack both bases into M; a left-kernel vector y of M splits as
-        (u, -w) with u'A = w'B, so u'A runs over the intersection.
+        The equations of a subspace are the kernel of its basis, since x
+        lies in the span of the basis rows exactly when every vector
+        orthogonal to them is orthogonal to x.
         """
         self._check_ambient(other)
-        a = self.basis.rows
-        stacked = Matrix(a + other.basis.rows, self.ambient_dim)
-        if stacked.nrows == 0:
-            return Subspace.zero(self.ambient_dim)
-        left_kernel = kernel(stacked.transpose())
-        # Row i of A is ints_i / den_i.  Each member u'A is built as an
-        # integer multiple of itself, which spans the same ray.
-        scaled = [to_integers(row) for row in a]
-        columns = [[ints[j] for ints, _ in scaled] for j in range(self.ambient_dim)]
-        members = []
-        for y in left_kernel.basis.rows:
-            coeffs, _ = to_integers([c / den for c, (_, den) in zip(y, scaled)])
-            members.append([sum(map(mul, coeffs, col)) for col in columns])
-        return Subspace(members, self.ambient_dim)
+        equations = kernel(self.basis).basis.rows + kernel(other.basis).basis.rows
+        return kernel(Matrix(equations, self.ambient_dim))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -2,18 +2,19 @@
 
 `recover_factors` picks a base point w0 on the cone and takes the two
 sheets through it as the recovered factor pair (W1, W2).  The derived
-product W1 x W2 -> V is defined by square completion against w0 (with the
-stipulations w0 * w0 = w0, w0 * w2 = w2, w1 * w0 = w1 fixing the
-proportional cases), is bilinear, and induces a linear isomorphism from
-the coefficient space of the two canonical bases onto V.  Simple vectors
-are exactly the images of rank-one coefficient grids, which gives exact
-factorization and a tensor-rank function.
+product W1 x W2 -> V is the square completion `complete_square(w0, w2,
+w1)`, whose proportional cases give the stipulations w0 * w0 = w0,
+w0 * w2 = w2 and w1 * w0 = w1; it is bilinear, and induces a linear
+isomorphism from the coefficient space of the two canonical bases onto
+V.  Simple vectors are exactly the images of rank-one coefficient grids,
+which gives exact factorization and a tensor-rank function.
 
 `verify_round_trip` is the only place that deliberately looks behind the
 scramble: it checks the recovered sheets against the hidden ones and
 extracts the single rational scale relating the derived product to the
-hidden product, which is precisely the one-parameter freedom a factor
-recovery can never remove.
+hidden product (one `proportionality_ratio` over the flattened matrices),
+which is precisely the one-parameter freedom a factor recovery can never
+remove.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from untensor.errors import (
 )
 from untensor.foliation import Sheet, SheetPair, sheets_through
 from untensor.linalg import (
+    ZERO,
     Matrix,
     Subspace,
     Vector,
@@ -64,14 +66,13 @@ class Reconstruction:
         *,
         basis_e: tuple[Vector, ...] | None = None,
         basis_f: tuple[Vector, ...] | None = None,
-        tangent_cache: dict | None = None,
     ):
         self.inst = inst
         self.w0 = tuple(w0)
         self.pair = pair
         self.basis_e = tuple(tuple(v) for v in basis_e) if basis_e else pair.first.subspace.basis.rows
         self.basis_f = tuple(tuple(v) for v in basis_f) if basis_f else pair.second.subspace.basis.rows
-        self._cache = tangent_cache if tangent_cache is not None else {}
+        self._cache: dict = {}
         self._phi: Matrix | None = None
         self._phi_inv: Matrix | None = None
 
@@ -94,17 +95,16 @@ class Reconstruction:
             raise MembershipViolated("basis_e must be a basis of the first sheet")
         if Subspace(basis_f, self.inst.dim) != self.sheet_w2.subspace or len(basis_f) != self.dims[1]:
             raise MembershipViolated("basis_f must be a basis of the second sheet")
-        return Reconstruction(
-            self.inst, self.w0, self.pair, basis_e=basis_e, basis_f=basis_f, tangent_cache=self._cache
-        )
+        return Reconstruction(self.inst, self.w0, self.pair, basis_e=basis_e, basis_f=basis_f)
 
     # -- the derived product -------------------------------------------------
 
     def derived_product(self, w1: Sequence, w2: Sequence) -> Vector:
         """Bilinear product of the recovered factors, valued in V.
 
-        Proportional-to-base arguments scale the other argument; otherwise
-        the value is the square completion of (w0, w2 / w1, ?).
+        The completion of the square (w0, w2 / w1, ?); an argument
+        proportional to w0 scales the other one, and a zero argument gives
+        the zero vector.
         """
         w1 = tuple(w1)
         w2 = tuple(w2)
@@ -112,12 +112,8 @@ class Reconstruction:
             raise MembershipViolated("first argument is outside the first sheet")
         if not self.sheet_w2.contains(w2):
             raise MembershipViolated("second argument is outside the second sheet")
-        lam = proportionality_ratio(self.w0, w1)
-        if lam is not None:
-            return vscale(lam, w2)
-        mu = proportionality_ratio(self.w0, w2)
-        if mu is not None:
-            return vscale(mu, w1)
+        if is_zero_vector(w1) or is_zero_vector(w2):
+            return vzero(self.inst.dim)
         return complete_square(self.inst, self.w0, w2, w1, cache=self._cache)
 
     @property
@@ -125,10 +121,15 @@ class Reconstruction:
         """Matrix of the induced map from coefficient grids to V.
 
         Column (j, k) (row-major over basis_e then basis_f) is the derived
-        product of the j-th and k-th basis vectors.
+        product of the j-th and k-th basis vectors, completed directly: the
+        bases are nonzero members of their sheets.
         """
         if self._phi is None:
-            columns = [self.derived_product(e, f) for e in self.basis_e for f in self.basis_f]
+            columns = [
+                complete_square(self.inst, self.w0, f, e, cache=self._cache)
+                for e in self.basis_e
+                for f in self.basis_f
+            ]
             phi = Matrix.from_columns(columns)
             try:
                 inv = phi.inverse()
@@ -194,9 +195,7 @@ def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) 
         ray = Subspace([w0], inst.dim)
         pair = SheetPair(first=Sheet(full), second=Sheet(ray))
         return Reconstruction(inst, w0, pair)
-    cache: dict = {}
-    pair = sheets_through(inst, w0, rng, cache=cache)
-    return Reconstruction(inst, w0, pair, tangent_cache=cache)
+    return Reconstruction(inst, w0, sheets_through(inst, w0, rng))
 
 
 # -- round-trip verification --------------------------------------------------
@@ -303,21 +302,21 @@ def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripRepo
             return report(False, swap=swap, reason="a basis vector fails to decompose in its sheet")
         second_parts.append(part)
 
-    phi = recon.product_matrix
-    d2 = recon.dims[1]
-    lam: Fraction | None = None
-    for j, pj in enumerate(first_parts):
-        for k, qk in enumerate(second_parts):
-            derived = phi.column(j * d2 + k)
-            # In the swapped orientation the first sheet holds the column
-            # side, so the hidden product pairs qk (rows) with pj (columns).
-            predicted = inst.embed_simple(qk, pj) if swap else inst.embed_simple(pj, qk)
-            for x, y in zip(predicted, derived):
-                if lam is None and y != 0:
-                    lam = x / y
-            if lam is not None and predicted != vscale(lam, derived):
-                return report(False, swap=swap, reason="hidden products are not a single scale of the derived ones")
-    if lam is None or lam == 0:
+    # Column j * d2 + k of phi is the derived product of basis pair (j, k).
+    # In the swapped orientation the first sheet holds the column side, so
+    # the hidden product pairs qk (rows) with pj (columns).
+    derived = tuple(x for column in recon.product_matrix.columns() for x in column)
+    predicted = tuple(
+        x
+        for pj in first_parts
+        for qk in second_parts
+        for x in (inst.embed_simple(qk, pj) if swap else inst.embed_simple(pj, qk))
+    )
+    # An all-zero phi leaves no scale to extract, like an all-zero prediction.
+    lam = ZERO if is_zero_vector(derived) else proportionality_ratio(derived, predicted)
+    if lam is None:
+        return report(False, swap=swap, reason="hidden products are not a single scale of the derived ones")
+    if lam == 0:
         return report(False, swap=swap, reason="could not extract a product scale")
     if lam != scale:
         return report(False, swap=swap, lam=lam, reason="product scale disagrees with the base-point gauge")

@@ -215,7 +215,6 @@ def suite_squares(trials: int, seed: int, *, fault: bool = False) -> list[Proper
         inst = _make_instance(shape, _derived_seed(seed, 11, si), fault=fault)
         rng = Random(_derived_seed(seed, 12, si))
         m, n = shape
-        cache: dict = {}
         for t in range(trials):
             try:
                 alpha0 = _rand_int_vector(rng, m)
@@ -226,18 +225,16 @@ def suite_squares(trials: int, seed: int, *, fault: bool = False) -> list[Proper
                 b = inst.embed_simple(alpha0, beta)
                 c = inst.embed_simple(alpha, beta0)
                 d_true = inst.embed_simple(alpha, beta)
-                d = complete_square(inst, a, b, c, cache=cache)
+                d = complete_square(inst, a, b, c)
                 hidden_form.check(
                     d == d_true, lambda: _dump(inst, a=a, b=b, c=c, d=d, expected=d_true)
                 )
 
                 lam = _rand_nonzero_fraction(rng)
                 mu = _rand_nonzero_fraction(rng)
-                ok = complete_square(inst, a, vscale(mu, a), c, cache=cache) == vscale(mu, c)
-                ok = ok and complete_square(inst, a, b, vscale(lam, a), cache=cache) == vscale(lam, b)
-                ok = ok and complete_square(
-                    inst, a, vscale(mu, a), vscale(lam, a), cache=cache
-                ) == vscale(lam * mu, a)
+                ok = complete_square(inst, a, vscale(mu, a), c) == vscale(mu, c)
+                ok = ok and complete_square(inst, a, b, vscale(lam, a)) == vscale(lam, b)
+                ok = ok and complete_square(inst, a, vscale(mu, a), vscale(lam, a)) == vscale(lam * mu, a)
                 special.check(ok, lambda: _dump(inst, a=a, c=c))
 
                 sq = Square.of(a, b, c, d_true)

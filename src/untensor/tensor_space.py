@@ -526,11 +526,6 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def save_instance(inst: TensorSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(instance_payload(inst)))
-
-
 def load_instance(path) -> TensorSpace:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_payload(json.load(fh))

@@ -21,7 +21,7 @@ from untensor.functors import (
 )
 from untensor.linalg import Matrix, vscale
 from untensor.reconstruct import recover_factors
-from untensor.tensor_space import TensorSpace, build_instance, generate_instance
+from untensor.tensor_space import TensorSpace, build_instance, generate_instance, inject_quadric_fault
 
 
 def rand_invertible(rng, n, bound=3):
@@ -41,6 +41,17 @@ def compatible_pair(shape, seed):
     alpha, beta = inst_a.base_factors
     inst_b = TensorSpace(inst_a.shape, scr, base_factors=(g.apply(alpha), h.apply(beta)))
     return inst_a, VecPairMorphism(g, h), inst_b
+
+
+class WithProductMatrix:
+    """A reconstruction whose product matrix is replaced by `phi`."""
+
+    def __init__(self, recon, phi):
+        self._recon = recon
+        self.product_matrix = phi
+
+    def __getattr__(self, name):
+        return getattr(self._recon, name)
 
 
 class TestTensorMorphism:
@@ -78,6 +89,20 @@ class TestCertification:
             if is_cone_morphism(candidate):
                 # acceptance is only believed if the hidden oracle agrees
                 assert preserves_cone_empirically(candidate, Random(1), 200)
+
+    def test_rejects_a_faulted_target(self):
+        for shape, seed in [((2, 2), 4), ((2, 3), 5), ((3, 3), 6)]:
+            inst_a, pm, inst_b = compatible_pair(shape, seed)
+            faulted = inject_quadric_fault(inst_b)
+            assert not is_cone_morphism(tensor_morphism(inst_a, faulted, pm))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+    def test_rejects_every_random_invertible_map(self, shape):
+        inst_a = generate_instance(shape, 7)
+        inst_b = generate_instance(shape, 8)
+        rng = Random(10)
+        for _ in range(20):
+            assert not is_cone_morphism(LinearMorphism(inst_a, inst_b, rand_invertible(rng, inst_a.dim, 2)))
 
     def test_swap_map_preserves_cone(self):
         inst = generate_instance((3, 3), 10, pointed=True)
@@ -227,6 +252,16 @@ class TestNaturality:
         scaled_w0 = vscale(F(3), f.apply(recon_a.w0))
         recon_b = recover_factors(inst_b, Random(34), w0=scaled_w0)
         assert product_commutation_scale(f, recon_a, recon_b) == 3
+
+    def test_perturbed_product_has_no_scale(self):
+        inst_a, pm, inst_b = compatible_pair((2, 3), 27)
+        f = tensor_morphism(inst_a, inst_b, pm)
+        recon_a = recover_factors(inst_a, Random(28))
+        recon_b = recover_factors(inst_b, Random(29))
+        columns = recon_b.product_matrix.columns()
+        columns[-1] = (columns[-1][0] + 1,) + columns[-1][1:]
+        perturbed = WithProductMatrix(recon_b, Matrix.from_columns(columns))
+        assert product_commutation_scale(f, recon_a, perturbed) is None
 
 
 class TestGl1:

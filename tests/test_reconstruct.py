@@ -123,7 +123,33 @@ class TestDerivedProduct:
                 recon.derived_product(outside, recon.basis_f[0])
 
 
+class WithProductMatrix:
+    """A reconstruction whose product matrix is replaced by `phi`."""
+
+    def __init__(self, recon, phi):
+        self._recon = recon
+        self.product_matrix = phi
+
+    def __getattr__(self, name):
+        return getattr(self._recon, name)
+
+
+def perturb_last_column(phi):
+    columns = phi.columns()
+    columns[-1] = (columns[-1][0] + 1,) + columns[-1][1:]
+    return Matrix.from_columns(columns)
+
+
 class TestProductMatrix:
+    @pytest.mark.parametrize("shape,seed", [((2, 3), 1), ((3, 3), 2), ((3, 4), 3), ((1, 3), 4)])
+    def test_columns_are_derived_products(self, shape, seed):
+        inst = generate_instance(shape, seed, pointed=True)
+        recon = recover_factors(inst, Random(seed))
+        d2 = recon.dims[1]
+        for j, e in enumerate(recon.basis_e):
+            for k, f in enumerate(recon.basis_f):
+                assert recon.product_matrix.column(j * d2 + k) == recon.derived_product(e, f)
+
     def test_identity_instance_unit_matrix(self, ident22_recon):
         inst, recon = ident22_recon
         assert recon.product_matrix == Matrix.identity(4)
@@ -243,6 +269,21 @@ class TestRoundTripReport:
         recon = recover_factors(inst, Random(19))
         assert recon.w0 == inst.base_point
         assert verify_round_trip(inst, recon).success
+
+    def test_scaled_products_disagree_with_gauge(self):
+        inst = generate_instance((2, 3), 18, pointed=True)
+        recon = recover_factors(inst, Random(19))
+        report = verify_round_trip(inst, WithProductMatrix(recon, recon.product_matrix.scale(2)))
+        assert not report.success
+        assert report.reason == "product scale disagrees with the base-point gauge"
+        assert report.lam == verify_round_trip(inst, recon).lam / 2
+
+    def test_perturbed_column_is_not_a_single_scale(self):
+        inst = generate_instance((3, 3), 18, pointed=True)
+        recon = recover_factors(inst, Random(19))
+        report = verify_round_trip(inst, WithProductMatrix(recon, perturb_last_column(recon.product_matrix)))
+        assert not report.success and report.lam is None
+        assert report.reason == "hidden products are not a single scale of the derived ones"
 
 
 class TestJointRescale:

@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import untensor
 from untensor import linalg
 from untensor.errors import DimensionMismatch
 from untensor.linalg import Matrix, is_zero_vector, vadd, vector, vscale
@@ -252,3 +255,30 @@ class TestSerialization:
         pointed = with_base_factors(inst, (1, 2), (3, 0, 1))
         assert pointed.base_point == inst.embed_simple((1, 2), (3, 0, 1))
         assert pointed.scramble == inst.scramble
+
+
+class TestOracleBoundary:
+    PRIVATE = frozenset(
+        {
+            "_minors",
+            "_adj_rows",
+            "_adj_cols",
+            "_adj_den",
+            "_det2",
+            "_polar2",
+            "_scaled_hidden",
+            "_fault_index",
+            "_point_at",
+        }
+    )
+
+    def test_private_oracle_names_stay_in_tensor_space(self):
+        package = Path(untensor.__file__).parent
+        modules = sorted(p for p in package.glob("*.py") if p.name != "tensor_space.py")
+        assert len(modules) > 5
+        reads = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in self.PRIVATE:
+                    reads.append(f"{path.name}:{node.lineno} uses {node.attr}")
+        assert reads == []
