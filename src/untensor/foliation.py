@@ -11,8 +11,9 @@ be dug out of S alone:
   independent linear condition.  A tangent cache (a dict passed as
   `cache`) maps `tuple(v)` to these rows, so each vector is eliminated
   once however many tangent spaces it enters.
-* `tangent_space(v)` is the kernel of those equations; it has dimension
-  m + n - 1 and equals the span of the two sheets through v.
+* `tangent_space(v)` is the kernel of those equations for one-off
+  callers, so it takes no cache; it has dimension m + n - 1 and equals
+  the span of the two sheets through v.
 * `tangent_intersection(v, s)` is the kernel of both equation sets
   stacked, and `cross_rays(v, s)` splits it for two generic simple
   vectors: the intersection is a plane whose trace on S is exactly two
@@ -129,14 +130,14 @@ def tangent_equations(inst: TensorSpace, v: Sequence, cache: dict | None = None)
     return out
 
 
-def tangent_space(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> Subspace:
+def tangent_space(inst: TensorSpace, v: Sequence) -> Subspace:
     """Kernel of the quadric linearizations w -> B_k(v, w) at a simple v.
 
     Contains both sheets through v; dimension m + n - 1 (for a trivial
     shape the quadric list is empty and the tangent space is all of V,
     which agrees with the formula).
     """
-    return kernel(Matrix(tangent_equations(inst, v, cache), inst.dim))
+    return kernel(Matrix(tangent_equations(inst, v), inst.dim))
 
 
 def tangent_intersection(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None = None) -> Subspace:
@@ -264,7 +265,6 @@ def transport(
     v0: Sequence,
     v0_prime: Sequence,
     v: Sequence,
-    cache: dict | None = None,
 ) -> Vector:
     """Carry v from sheet m to sheet m_prime along the ray correspondence.
 
@@ -290,4 +290,4 @@ def transport(
         return v
     from untensor.squares import complete_square
 
-    return complete_square(inst, v0, v0_prime, v, cache=cache)
+    return complete_square(inst, v0, v0_prime, v)

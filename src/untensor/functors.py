@@ -178,8 +178,10 @@ def _factor_maps(
         raise PreconditionViolated("f does not carry the base ray to the target base ray")
 
     dim = f.target.dim
-    image_first = Subspace([f.apply(e) for e in recon_s.basis_e], dim)
-    image_second = Subspace([f.apply(v) for v in recon_s.basis_f], dim)
+    images_e = [f.apply(e) for e in recon_s.basis_e]
+    images_f = [f.apply(v) for v in recon_s.basis_f]
+    image_first = Subspace(images_e, dim)
+    image_second = Subspace(images_f, dim)
     if image_first == recon_t.sheet_w1.subspace:
         crossed = False
         if image_second != recon_t.sheet_w2.subspace:
@@ -193,8 +195,8 @@ def _factor_maps(
     else:
         raise SheetNotPreserved("first sheet image is not a sheet of the target pair")
 
-    f1 = Matrix.from_columns([_coordinates_in(targets[0], f.apply(e)) for e in recon_s.basis_e])
-    f2 = Matrix.from_columns([_coordinates_in(targets[1], f.apply(v)) for v in recon_s.basis_f])
+    f1 = Matrix.from_columns([_coordinates_in(targets[0], x) for x in images_e])
+    f2 = Matrix.from_columns([_coordinates_in(targets[1], x) for x in images_f])
     for part in (f1, f2):
         try:
             part.inverse()

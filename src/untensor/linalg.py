@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 
 from untensor.errors import DimensionMismatch
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -342,35 +341,13 @@ def rref(m: Matrix) -> Matrix:
     return Matrix(tuple(reduced + zero_rows), m.ncols)
 
 
-def determinant(m: Matrix) -> Fraction:
-    """Determinant from the integer elimination core.
-
-    The rows are cleared of denominators, eliminated, and the product of
-    the resulting pivot entries is corrected by the factor the elimination
-    and the clearing multiplied the determinant by.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("determinant needs a square matrix")
-    rows, cleared = [], 1
-    for row in m.rows:
-        ints, den = to_integers(row)
-        rows.append(ints)
-        cleared *= den
-    pivots, factor = _eliminate(rows, m.ncols, track_det=True)
-    if len(pivots) != m.nrows:
-        return ZERO
-    product = 1
-    for row, c in zip(rows, pivots):
-        product *= row[c]
-    return product / (factor * cleared)
-
-
 def inverse_and_determinant(m: Matrix) -> tuple[Matrix | None, Fraction]:
     """The inverse (None when m is singular) and the determinant of a square m.
 
     Both come from one elimination of [m | I]: the right half of the
-    reduced rows is the inverse, and the left half's pivot entries give the
-    determinant as in `determinant`.
+    reduced rows is the inverse, and the product of the left half's pivot
+    entries, corrected by the factor the elimination and the clearing of
+    denominators multiplied the determinant by, is the determinant.
     """
     if m.nrows != m.ncols:
         raise ValueError("only square matrices invert")
@@ -388,6 +365,11 @@ def inverse_and_determinant(m: Matrix) -> tuple[Matrix | None, Fraction]:
         product *= row[c]
     inverse = Matrix(tuple(from_integers(row[n:], row[c]) for row, c in zip(aug, pivots)), n)
     return inverse, product / (factor * cleared)
+
+
+def determinant(m: Matrix) -> Fraction:
+    """Determinant of a square m, read off the elimination that inverts it."""
+    return inverse_and_determinant(m)[1]
 
 
 def solve_linear(a: Matrix, rhs: Sequence[Fraction]) -> Vector | None:

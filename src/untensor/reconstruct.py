@@ -10,11 +10,13 @@ V.  Simple vectors are exactly the images of rank-one coefficient grids,
 which gives exact factorization and a tensor-rank function.
 
 `verify_round_trip` is the only place that deliberately looks behind the
-scramble: it checks the recovered sheets against the hidden ones and
-extracts the single rational scale relating the derived product to the
-hidden product (one `proportionality_ratio` over the flattened matrices),
-which is precisely the one-parameter freedom a factor recovery can never
-remove.
+scramble, and it reads everything from rank-one gauges of hidden grids.
+The gauge of w0 gives the canonical hidden factors; every recovered basis
+vector must split against one of them, which matches the recovered sheets
+to the hidden ones and fixes the swap; and one `proportionality_ratio`
+over the flattened matrices extracts the single rational scale relating
+the derived product to the hidden product, which is precisely the
+one-parameter freedom a factor recovery can never remove.
 """
 
 from __future__ import annotations
@@ -245,12 +247,14 @@ def _side_vector(grid: Matrix, hat: Vector) -> Vector | None:
 def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripReport:
     """Compare a reconstruction against the hidden factorization.
 
-    The recovered sheets must equal the hidden sheets through w0 as
-    canonical subspaces; when the factor dimensions coincide the pairing
-    may be swapped.  On top of that, the derived products of all basis
-    pairs must reproduce the hidden products up to one global rational
-    scale, reported as lambda: the gauge of w0's own hidden factorization
-    against canonical sheet generators.
+    With w0 = scale * alpha_hat x beta_hat its canonical rank-one gauge, the
+    recovered sheets equal the hidden sheets through w0 exactly when their
+    dimensions are (m, n) and every basis vector of the first splits as
+    p x beta_hat and every one of the second as alpha_hat x q, or, swapped,
+    (n, m) with the roles exchanged; the unswapped reading is tried first.
+    On top of that, the derived products of all basis pairs must reproduce
+    the hidden products of the split parts up to one global rational
+    scale, reported as lambda, which must equal scale.
     """
     m, n = inst.shape.m, inst.shape.n
 
@@ -272,35 +276,24 @@ def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripRepo
         return report(False, reason="base point is not rank one behind the scramble")
     alpha_hat, beta_hat, scale = gauge
 
-    unit_rows = Matrix.identity(m).rows
-    unit_cols = Matrix.identity(n).rows
-    hidden_row_sheet = Subspace([inst.embed_simple(e, beta_hat) for e in unit_rows], inst.dim)
-    hidden_col_sheet = Subspace([inst.embed_simple(alpha_hat, f) for f in unit_cols], inst.dim)
-
-    recovered = (recon.sheet_w1.subspace, recon.sheet_w2.subspace)
-    if recovered == (hidden_row_sheet, hidden_col_sheet):
-        swap = False
-    elif recovered == (hidden_col_sheet, hidden_row_sheet):
-        swap = True
+    # d independent members of a d-dimensional hidden sheet span it, and
+    # only multiples of w0 lie in both hidden sheets, so at most one
+    # orientation splits a basis of two or more vectors.
+    grids_e = [inst.hidden_coordinates(e) for e in recon.basis_e]
+    grids_f = [inst.hidden_coordinates(f) for f in recon.basis_f]
+    for swap in (False, True):
+        if recon.dims != ((n, m) if swap else (m, n)):
+            continue
+        if swap:
+            first_parts = [_side_vector(g.transpose(), alpha_hat) for g in grids_e]
+            second_parts = [_side_vector(g, beta_hat) for g in grids_f]
+        else:
+            first_parts = [_side_vector(g, beta_hat) for g in grids_e]
+            second_parts = [_side_vector(g.transpose(), alpha_hat) for g in grids_f]
+        if None not in first_parts + second_parts:
+            break
     else:
         return report(False, reason="recovered sheets differ from the hidden sheets")
-
-    # Decompose every recovered basis vector against the canonical hidden
-    # generator of its sheet.
-    first_parts = []
-    for e in recon.basis_e:
-        grid = inst.hidden_coordinates(e)
-        part = _side_vector(grid.transpose(), alpha_hat) if swap else _side_vector(grid, beta_hat)
-        if part is None:
-            return report(False, swap=swap, reason="a basis vector fails to decompose in its sheet")
-        first_parts.append(part)
-    second_parts = []
-    for f in recon.basis_f:
-        grid = inst.hidden_coordinates(f)
-        part = _side_vector(grid, beta_hat) if swap else _side_vector(grid.transpose(), alpha_hat)
-        if part is None:
-            return report(False, swap=swap, reason="a basis vector fails to decompose in its sheet")
-        second_parts.append(part)
 
     # Column j * d2 + k of phi is the derived product of basis pair (j, k).
     # In the swapped orientation the first sheet holds the column side, so

@@ -24,7 +24,7 @@ on hidden coordinates u, w.  `minor_values` is Q_k = 1/2 * 2*B_k(v, v),
 2*B_k(x, y), `binary_restriction(d1, d2)` is (Q_k(d1), 2*B_k(d1, d2),
 Q_k(d2)), and row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the
 columns of the adjugate.  None of these public methods calls another, so
-each query bumps exactly one `OracleStats` counter.
+each query bumps `oracle_calls` once.
 
 The hidden coordinates come from the adjugate of the scramble, which
 multiplies every quadric value by the fixed positive constant
@@ -56,7 +56,6 @@ from untensor.linalg import (
     Matrix,
     Vector,
     ZERO,
-    determinant,
     factor_rank_one,
     format_scalar,
     from_integers,
@@ -70,6 +69,7 @@ from untensor.linalg import (
 
 
 DEFAULT_SAMPLER_RANGE = 10
+_SCRAMBLE_ENTRY_BOUND = 3
 
 
 @dataclass(frozen=True)
@@ -162,20 +162,12 @@ def _signed_minors(shape: FactorShape, fault_index: int | None) -> tuple[tuple[i
 class OracleStats:
     """Diagnostic call counters; not part of instance semantics."""
 
-    membership: int = 0
-    quadric_evals: int = 0
-    polarizations: int = 0
+    oracle_calls: int = 0
     samples: int = 0
 
     def reset(self) -> None:
-        self.membership = 0
-        self.quadric_evals = 0
-        self.polarizations = 0
+        self.oracle_calls = 0
         self.samples = 0
-
-    @property
-    def oracle_calls(self) -> int:
-        return self.membership + self.quadric_evals + self.polarizations
 
 
 class TensorSpace:
@@ -268,7 +260,7 @@ class TensorSpace:
         """All quadric values at v, scaled by the fixed constant det^2."""
         if len(v) != self.dim:
             raise DimensionMismatch.of(self.dim, len(v))
-        self.stats.quadric_evals += 1
+        self.stats.oracle_calls += 1
         u, q = self._scaled_hidden(v)
         return from_integers([x // 2 for x in self._polar2(u, u)], q * q)
 
@@ -280,13 +272,13 @@ class TensorSpace:
         """Whether v lies on the common zero locus of all the quadrics."""
         if len(v) != self.dim:
             raise DimensionMismatch.of(self.dim, len(v))
-        self.stats.membership += 1
+        self.stats.oracle_calls += 1
         u, _ = self._scaled_hidden(v)
         return not any(self._polar2(u, u))
 
     def polar2_values(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """2*B_k(x, y) for every quadric, scaled by det^2."""
-        self.stats.polarizations += 1
+        self.stats.oracle_calls += 1
         u, qu = self._scaled_hidden(x)
         w, qw = self._scaled_hidden(y)
         return from_integers(list(self._polar2(u, w)), qu * qw)
@@ -298,7 +290,7 @@ class TensorSpace:
         share the det^2 scale, so kernels and solution ratios agree with
         the exact polarizations.
         """
-        self.stats.polarizations += 1
+        self.stats.oracle_calls += 1
         u, q = self._scaled_hidden(v)
         den = q * self._adj_den
         columns = [tuple(self._polar2(u, col)) for col in self._adj_cols]
@@ -309,7 +301,7 @@ class TensorSpace:
     ) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """Each quadric restricted to span{d1, d2} as (A, B2, C) with
         Q(x d1 + y d2) proportional to A x^2 + B2 xy + C y^2."""
-        self.stats.polarizations += 1
+        self.stats.oracle_calls += 1
         u, qu = self._scaled_hidden(d1)
         w, qw = self._scaled_hidden(d2)
         return tuple(
@@ -372,31 +364,33 @@ def generate_instance(
     *,
     pointed: bool = False,
     sampler_range: int = DEFAULT_SAMPLER_RANGE,
-    scramble_entry_bound: int = 3,
 ) -> TensorSpace:
     """Draw a scrambled instance; the seed fixes every byte of it.
 
-    The scramble is a random integer matrix with entries in
-    [-scramble_entry_bound, scramble_entry_bound], redrawn until invertible.
-    A pointed instance also draws nonzero integer base factors and keeps
-    their product as the distinguished base point.
+    The scramble is a random integer matrix with entries in [-3, 3],
+    redrawn until invertible; the instance's own elimination of the
+    scramble is the invertibility test.  A pointed instance then draws
+    nonzero integer base factors and keeps their product as the
+    distinguished base point.
     """
     if not isinstance(shape, FactorShape):
         shape = FactorShape(*shape)
     _check_sampler_range(sampler_range)
     rng = Random(seed)
     dim = shape.dim
+    bound = _SCRAMBLE_ENTRY_BOUND
     while True:
-        rows = [[rng.randint(-scramble_entry_bound, scramble_entry_bound) for _ in range(dim)] for _ in range(dim)]
-        scramble = Matrix(rows, dim)
-        if determinant(scramble) != 0:
-            break
-    base = None
+        rows = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)]
+        try:
+            inst = TensorSpace(shape, Matrix(rows, dim), seed=seed, sampler_range=sampler_range)
+        except ValueError:  # a singular draw
+            continue
+        break
     if pointed:
         alpha = _nonzero_int_vector(rng, shape.m, sampler_range)
         beta = _nonzero_int_vector(rng, shape.n, sampler_range)
-        base = (alpha, beta)
-    return TensorSpace(shape, scramble, base_factors=base, seed=seed, sampler_range=sampler_range)
+        inst._point_at(alpha, beta)
+    return inst
 
 
 def build_instance(

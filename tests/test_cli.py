@@ -155,6 +155,25 @@ _GOLDEN = {
         "273b683aa4679362c239bd90dd07ed6e92c5027fc610848858fbcbe3a15b247c",
         {"lambda": "30", "oracle_calls": 116, "samples_used": 1, "sheet_dims": [3, 3], "swap": False},
     ),
+    # Trivial shapes: the first sheet is all of V, the second the ray of w0.
+    (1, 3, 1): (
+        "0ba0e7f6179cfc1e59abfe0382ca92ed82a531b609990f34e4a8656472aaed47",
+        {"lambda": "20", "oracle_calls": 13, "samples_used": 0, "sheet_dims": [3, 1], "swap": True},
+    ),
+    (3, 1, 1): (
+        "2906a518e04239c66e1832c092621fb6485c0e1c0793ae12e3a193b1968316c7",
+        {"lambda": "8", "oracle_calls": 13, "samples_used": 0, "sheet_dims": [3, 1], "swap": False},
+    ),
+    # The first scramble drawn for these two seeds is singular, so they pin
+    # the redraw from the same stream.
+    (2, 2, 29): (
+        "bd20e828313743be02e55a530f1bb3bffa1adbd5a074838d395f476361ca978f",
+        {"lambda": "-9", "oracle_calls": 61, "samples_used": 1, "sheet_dims": [2, 2], "swap": True},
+    ),
+    (1, 1, 9): (
+        "9dafeecb663c043344f02a35b1b256edcc3f734b4e65f7dd5fafcf743b8b81b6",
+        {"lambda": "-2", "oracle_calls": 4, "samples_used": 0, "sheet_dims": [1, 1], "swap": False},
+    ),
 }
 
 
@@ -168,6 +187,60 @@ def test_golden_gen_and_recover_bytes(tmp_path, capsys, m, n, seed):
     assert code == 0
     expected = {"success": True, "m": m, "n": n, **fields}
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+# sha256 of the stdout of the other commands, frozen like _GOLDEN.
+_GOLDEN_OUTPUTS = {
+    ("spin-demo", "--dims", "4x3,2x6,1x12", "--seed", "5"): (
+        0,
+        "4bf7fa2ee68599d9fb3f989583c8d88ea60abf9e987f67607b8e825260a519f7",
+    ),
+    ("props", "--suite", "all", "--trials", "2", "--seed", "3"): (
+        0,
+        "8e4e982ba13b1ffd52445d4df39a3d0870059404fdedf63900070b27b04bd43c",
+    ),
+    ("props", "--suite", "all", "--trials", "2", "--seed", "3", "--inject-fault"): (
+        1,
+        "4b0330bb185e0095d5fde16337008eb23dcb6e14a8fcca9d582dea9de0959888",
+    ),
+    ("naturality", "--trials", "3", "--seed", "4"): (
+        0,
+        "0bdb5226047d21a6130dffcd286c550901dba3a3f7cf5deef20ccaf031c5f2b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN_OUTPUTS))
+def test_golden_command_bytes(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == _GOLDEN_OUTPUTS[argv]
+
+
+# Corners (a, b, c) on a 3x3 instance, one set per completion case: a
+# hidden factor pair (alpha, beta) stands for its embedded product, and an
+# integer k for k * a.  Each completion's stdout is pinned by its sha256.
+_A, _B, _C = ((1, 2, -1), (3, 0, 1)), ((1, 2, -1), (2, -1, 1)), ((0, 1, 1), (3, 0, 1))
+_GOLDEN_SQUARES = {
+    "generic": ((_A, _B, _C), "2d6fc4d37c4703aa175b107de0c2896ba88ef656807061d3777bc9a7716bd22d"),
+    "column-proportional": ((_A, 2, _C), "25ae45c18a52be157e2e2dc5d113a800fa7cf985bfeff618b56f5313769aa82f"),
+    "row-proportional": ((_A, _B, -3), "48985f12937df1bc747d24827125a70e9056ebf1fc24fd16882781df7b814275"),
+    "both-proportional": ((_A, 2, -3), "e226777a8152245f07a34cfd576eff0005c8774ad7e77762ea7e14a2ca83437f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_SQUARES))
+def test_golden_square_complete_bytes(tmp_path, capsys, case):
+    corners, digest = _GOLDEN_SQUARES[case]
+    path = tmp_path / "sq.json"
+    run(capsys, "gen", "--m", "3", "--n", "3", "--seed", "4", "--out", str(path), "--quiet")
+    inst = load_instance(path)
+    a = inst.embed_simple(*corners[0])
+    vectors = [a] + [tuple(x * c for x in a) if isinstance(c, int) else inst.embed_simple(*c) for c in corners[1:]]
+    corner_file = tmp_path / "corners.json"
+    corner_file.write_text(json.dumps({k: [str(x) for x in v] for k, v in zip("abc", vectors)}))
+    code, out = run(capsys, "square-complete", str(path), str(corner_file))
+    assert code == 0 and json.loads(out)["case"] == case
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSimpleCheckAndSquares:

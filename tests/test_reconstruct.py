@@ -5,7 +5,7 @@ import pytest
 
 from untensor.errors import MembershipViolated, NotSimpleVector
 from untensor.linalg import Matrix, Subspace, is_zero_vector, linear_combination, vadd, vscale
-from untensor.reconstruct import recover_factors, verify_round_trip
+from untensor.reconstruct import Reconstruction, recover_factors, verify_round_trip
 from untensor.tensor_space import build_instance, generate_instance
 
 
@@ -277,6 +277,15 @@ class TestRoundTripReport:
         assert not report.success
         assert report.reason == "product scale disagrees with the base-point gauge"
         assert report.lam == verify_round_trip(inst, recon).lam / 2
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (1, 3)])
+    def test_sheets_through_another_point_differ(self, shape):
+        inst = generate_instance(shape, 18, pointed=True)
+        other = recover_factors(inst, Random(19), w0=inst.sample_simple(Random(20)))
+        assert other.w0 != inst.base_point
+        report = verify_round_trip(inst, Reconstruction(inst, inst.base_point, other.pair))
+        assert not report.success and report.swap is False and report.lam is None
+        assert report.reason == "recovered sheets differ from the hidden sheets"
 
     def test_perturbed_column_is_not_a_single_scale(self):
         inst = generate_instance((3, 3), 18, pointed=True)

@@ -61,6 +61,27 @@ class TestGeneration:
         assert inst.scramble @ inst.scramble_inverse == Matrix.identity(6)
 
 
+class TestOracleStats:
+    def test_each_query_counts_once(self):
+        inst = generate_instance((2, 3), 3)
+        rng = Random(4)
+        v, w = inst.sample_simple(rng), inst.sample_simple(rng)
+        queries = [
+            lambda: inst.is_simple(v),
+            lambda: inst.minor_values(v),
+            lambda: inst.polar2_values(v, w),
+            lambda: inst.polar2_rows(v),
+            lambda: inst.binary_restriction(v, w),
+        ]
+        for k, query in enumerate(queries, 1):
+            query()
+            assert (inst.stats.oracle_calls, inst.stats.samples) == (k, 2)
+        inst.quadric_values(v)
+        assert inst.stats.oracle_calls == len(queries) + 1
+        inst.stats.reset()
+        assert (inst.stats.oracle_calls, inst.stats.samples) == (0, 0)
+
+
 class TestMembership:
     def test_zero_vector_is_simple(self, ident22):
         assert ident22.is_simple((0, 0, 0, 0))
