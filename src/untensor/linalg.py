@@ -101,15 +101,23 @@ def first_nonzero_index(v: Sequence[Fraction]) -> int | None:
 
 
 def linear_combination(vectors: Sequence[Vector], coeffs: Sequence) -> Vector:
-    """Sum of coeffs[i] * vectors[i]; the vectors must share a length."""
+    """Sum of coeffs[i] * vectors[i]; the vectors must share a length.
+
+    The sum is accumulated over the integers, on one common denominator,
+    and a Fraction is built only for each entry of the result.
+    """
     if not vectors:
         raise ValueError("empty vector list")
-    acc = [ZERO] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        c = frac(c)
-        if c != 0:
-            acc = [x + c * y for x, y in zip(acc, v)]
-    return tuple(acc)
+    cints, cden = to_integers([frac(c) for c in coeffs])
+    acc, den = [0] * len(vectors[0]), 1
+    for c, v in zip(cints, vectors):
+        if c:
+            ints, vden = to_integers(v)
+            common = lcm(den, vden)
+            up, c = common // den, c * (common // vden)
+            acc = [x * up + c * y for x, y in zip(acc, ints)]
+            den = common
+    return from_integers(acc, den * cden)
 
 
 def proportionality_ratio(base: Vector, candidate: Vector) -> Fraction | None:
@@ -133,7 +141,7 @@ class Matrix:
     count is required when constructing a matrix with zero rows.
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_integer_rows")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         materialized = tuple(tuple(frac(x) for x in row) for row in rows)
@@ -208,15 +216,20 @@ class Matrix:
         return Matrix(tuple(out), other.ncols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product, as integer dot products over cleared denominators."""
+        """Matrix-vector product, as integer dot products over cleared denominators.
+
+        The rows are cleared on the first call and kept, since the matrices
+        applied most often (a scramble, its inverse, an inverse product
+        matrix) are applied to many vectors.
+        """
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
+        try:
+            rows = self._integer_rows
+        except AttributeError:
+            rows = self._integer_rows = [to_integers(row) for row in self.rows]
         ints, den = to_integers(v)
-        out = []
-        for row in self.rows:
-            row_ints, row_den = to_integers(row)
-            out.append(Fraction(sum(map(mul, row_ints, ints)), row_den * den))
-        return tuple(out)
+        return tuple(Fraction(sum(map(mul, row_ints, ints)), row_den * den) for row_ints, row_den in rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -372,18 +385,43 @@ def determinant(m: Matrix) -> Fraction:
     return inverse_and_determinant(m)[1]
 
 
-def solve_linear(a: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
-    """One solution of a·x = rhs, or None when rhs is outside the column space."""
-    if len(rhs) != a.nrows:
+def _solve_columns(a: Matrix, columns: Sequence[Sequence[Fraction]]) -> list[Vector | None]:
+    """One solution of a·x = b for every right-hand side b in columns, from
+    one elimination; None for a b outside the column space of a.
+
+    Each row of a and each b is cleared to integers once.  Scaling b by its
+    own denominator D scales its solution by D, so row i of the integer
+    system is [a_i * den_i | den_i * D_b * b_i for each b], and the
+    elimination pivots in the columns of a only, carrying the right-hand
+    sides along.  Afterwards a b is consistent exactly when every row
+    without a pivot is zero in its column, and its solution, with the free
+    variables 0, reads off the pivot rows.
+    """
+    if any(len(b) != a.nrows for b in columns):
         raise ValueError("right-hand side length does not match row count")
     n = a.ncols
-    reduced, pivots = _reduced_rows([row + (frac(b),) for row, b in zip(a.rows, rhs)], n + 1)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [ZERO] * n
-    for row, c in zip(reduced, pivots):
-        x[c] = row[n]
-    return tuple(x)
+    cleared = [to_integers(b) for b in columns]
+    rows = []
+    for i, row in enumerate(a.rows):
+        ints, den = to_integers(row)
+        rows.append(ints + [den * b[i] for b, _ in cleared])
+    pivots, _ = _eliminate(rows, n)
+    rank = len(pivots)
+    out: list[Vector | None] = []
+    for k, (_, bden) in enumerate(cleared, start=n):
+        if any(row[k] for row in rows[rank:]):
+            out.append(None)
+            continue
+        x = [ZERO] * n
+        for row, c in zip(rows, pivots):
+            x[c] = Fraction(row[k], row[c] * bden)
+        out.append(tuple(x))
+    return out
+
+
+def solve_linear(a: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
+    """One solution of a·x = rhs, or None when rhs is outside the column space."""
+    return _solve_columns(a, [vector(rhs)])[0]
 
 
 class Subspace:

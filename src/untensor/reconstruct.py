@@ -9,6 +9,13 @@ isomorphism from the coefficient space of the two canonical bases onto
 V.  Simple vectors are exactly the images of rank-one coefficient grids,
 which gives exact factorization and a tensor-rank function.
 
+`derived_product` completes one square at a time and stays the
+definition.  `product_matrix` builds all d1 * d2 products of basis
+vectors together from linear conditions at w0: one elimination of the
+polar rows of w0 with every right-hand side carried along, one small
+elimination per basis vector for the parts in W1 and W2, and one linear
+equation for the scale along w0 (see `_generic_products`).
+
 `verify_round_trip` is the only place that deliberately looks behind the
 scramble, and it reads everything from rank-one gauges of hidden grids.
 The gauge of w0 gives the canonical hidden factors; every recovered basis
@@ -27,8 +34,11 @@ from random import Random
 from typing import Sequence
 
 from untensor.errors import (
+    Degenerate,
+    InconsistentSquare,
     MembershipViolated,
     NotSimpleVector,
+    PreconditionViolated,
     RankDeficient,
     RankViolation,
     ZeroVector,
@@ -39,6 +49,7 @@ from untensor.linalg import (
     Matrix,
     Subspace,
     Vector,
+    _solve_columns,
     factor_rank_one,
     format_scalar,
     is_zero_vector,
@@ -48,7 +59,7 @@ from untensor.linalg import (
     vscale,
     vzero,
 )
-from untensor.squares import complete_square
+from untensor.squares import common_root, complete_square
 from untensor.tensor_space import TensorSpace
 
 
@@ -123,14 +134,19 @@ class Reconstruction:
         """Matrix of the induced map from coefficient grids to V.
 
         Column (j, k) (row-major over basis_e then basis_f) is the derived
-        product of the j-th and k-th basis vectors, completed directly: the
-        bases are nonzero members of their sheets.
+        product of the j-th and k-th basis vectors.  A column whose e_j or
+        f_k is proportional to w0 is completed directly by its scaling rule;
+        every other column comes from the linear conditions at w0 in
+        `_generic_products`.
         """
         if self._phi is None:
+            generic = self._generic_products()
             columns = [
-                complete_square(self.inst, self.w0, f, e, cache=self._cache)
-                for e in self.basis_e
-                for f in self.basis_f
+                generic[j, k]
+                if (j, k) in generic
+                else complete_square(self.inst, self.w0, f, e, cache=self._cache)
+                for j, e in enumerate(self.basis_e)
+                for k, f in enumerate(self.basis_f)
             ]
             phi = Matrix.from_columns(columns)
             try:
@@ -140,6 +156,62 @@ class Reconstruction:
             self._phi = phi
             self._phi_inv = inv
         return self._phi
+
+    def _generic_products(self) -> dict[tuple[int, int], Vector]:
+        """The derived product d of e_j and f_k, for every e_j and f_k not
+        proportional to w0, keyed by (j, k).
+
+        d completes the square (w0, f; e, d), and three linear facts at w0
+        pin it (B is the polar form of every quadric at once):
+
+        1. In Q(w0 + e + f + d) = 0 every other term vanishes, so
+           2B(w0, d) = -2B(e, f).  One elimination of `polar2_rows(w0)`
+           solves this for all pairs, giving a d0 with d - d0 in the
+           tangent space T(w0) = W1 + W2.
+        2. d shares a sheet with e and one with f, and B(e, .) vanishes on
+           W1, B(f, .) on W2.  So B(e_j, d) = 0 fixes the W2 part of d - d0
+           modulo w0, through the matrix [2B(e_j, f_k')] over k', which
+           depends on j only; likewise B(f_k, d) = 0 fixes the W1 part
+           through [2B(e_j', f_k)] over j'.
+        3. What is left is the scale along w0: d = d' - s w0 for the d'
+           found so far.  Since Q(w0) = 0 and 2B(w0, d') = -2B(e, f),
+           Q(d' - s w0) = Q(d') + s 2B(e, f) is linear in s, and every
+           quadric must agree on its root.
+
+        The oracle scales every value by the same det^2, which cancels in
+        each of the three solves.  An inconsistent solve or disagreeing
+        quadrics raise InconsistentSquare, and a scale no quadric pins
+        raises Degenerate.
+        """
+        inst, w0 = self.inst, self.w0
+        es = [(j, e) for j, e in enumerate(self.basis_e) if proportionality_ratio(w0, e) is None]
+        fs = [(k, f) for k, f in enumerate(self.basis_f) if proportionality_ratio(w0, f) is None]
+        if not es or not fs:
+            return {}
+        # table[a][b] = 2B(e, f) for the a-th generic e and b-th generic f.
+        table = [[inst.polar2_values(e, f) for _, f in fs] for _, e in es]
+        # 1. y = -d0 solves 2B(w0, y) = 2B(e, f).
+        flat = _solved(inst.polar2_rows(w0), [x for row in table for x in row])
+        y = [flat[a * len(fs) : (a + 1) * len(fs)] for a in range(len(es))]
+        # 2. With d = -y + x1 + x2 (x1 in W1, x2 in W2), B(e, d) = 0 reads
+        #    B(e, x2) = B(e, y), and B(f, d) = 0 reads B(f, x1) = B(f, y).
+        on_f = [
+            _solved(Matrix.from_columns(table[a]), [inst.polar2_values(e, yb) for yb in y[a]])
+            for a, (_, e) in enumerate(es)
+        ]
+        on_e = [
+            _solved(Matrix.from_columns([row[b] for row in table]), [inst.polar2_values(f, ya[b]) for ya in y])
+            for b, (_, f) in enumerate(fs)
+        ]
+        # 3. The scale s along w0, from Q(d' - s w0) = Q(d') + s 2B(e, f).
+        spanning = [e for _, e in es] + [f for _, f in fs]
+        out = {}
+        for a, (j, _) in enumerate(es):
+            for b, (k, _) in enumerate(fs):
+                d_prime = linear_combination([y[a][b]] + spanning, (-1,) + on_e[b][a] + on_f[a][b])
+                s = common_root(inst.minor_values(d_prime), table[a][b])
+                out[j, k] = linear_combination((d_prime, w0), (1, -s))
+        return out
 
     @property
     def product_matrix_inverse(self) -> Matrix:
@@ -175,6 +247,14 @@ class Reconstruction:
     def tensor_rank(self, v: Sequence) -> int:
         """Minimum number of simple summands: the rank of the coefficient grid."""
         return self.coefficient_grid(v).rank()
+
+
+def _solved(a: Matrix, columns: list[Vector]) -> list[Vector]:
+    """The solutions of a·x = b for every b in columns, all of which must exist."""
+    solutions = _solve_columns(a, columns)
+    if None in solutions:
+        raise InconsistentSquare("the linear conditions at the base point admit no corner")
+    return solutions
 
 
 def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) -> Reconstruction:
@@ -295,10 +375,16 @@ def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripRepo
     else:
         return report(False, reason="recovered sheets differ from the hidden sheets")
 
+    # Bases that were not checked (see `with_bases`) may have no product
+    # matrix at all; that is a failed round trip, not an error.
+    try:
+        phi = recon.product_matrix
+    except (PreconditionViolated, InconsistentSquare, Degenerate, RankDeficient) as exc:
+        return report(False, swap=swap, reason=str(exc))
     # Column j * d2 + k of phi is the derived product of basis pair (j, k).
     # In the swapped orientation the first sheet holds the column side, so
     # the hidden product pairs qk (rows) with pj (columns).
-    derived = tuple(x for column in recon.product_matrix.columns() for x in column)
+    derived = tuple(x for column in phi.columns() for x in column)
     predicted = tuple(
         x
         for pj in first_parts

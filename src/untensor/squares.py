@@ -170,8 +170,17 @@ def complete_square_details(
     ray = vadd(p, vscale(x, a))
     u = ray_generator(ray)
     s = vadd(vadd(a, b), c)
-    constants = inst.minor_values(s)
-    slopes = inst.polar2_values(s, u)
+    t = common_root(inst.minor_values(s), inst.polar2_values(s, u))
+    return Completion(vscale(t, u), "generic", t)
+
+
+def common_root(constants: Sequence[Fraction], slopes: Sequence[Fraction]) -> Fraction:
+    """The one t with constant + t * slope == 0 for every quadric.
+
+    Quadrics with slope 0 must have constant 0 and say nothing about t.
+    A quadric that forbids every t, or two that disagree, raise
+    InconsistentSquare; when no quadric pins t, Degenerate.
+    """
     t: Fraction | None = None
     for q, p in zip(constants, slopes):
         if p == 0:
@@ -185,7 +194,7 @@ def complete_square_details(
             raise InconsistentSquare("quadrics disagree on the completion scale")
     if t is None:
         raise Degenerate("every quadric is indifferent to the scale; cannot pin d")
-    return Completion(vscale(t, u), "generic", t)
+    return t
 
 
 def complete_square(

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import mul
 from random import Random
 from typing import Sequence
@@ -193,9 +193,14 @@ class TensorSpace:
         self.dim = shape.dim
         self.scramble = scramble
         self.scramble_inverse = inverse
-        # det * inverse is the adjugate, held as integer rows over the common
-        # denominator _adj_den (1 whenever the scramble is integral).
-        flat, self._adj_den = to_integers([x for row in self.scramble_inverse.scale(det).rows for x in row])
+        # det * inverse is the adjugate, held as integer rows over its least
+        # common denominator _adj_den (1 whenever the scramble is integral).
+        flat, den = to_integers([x for row in inverse.rows for x in row])
+        flat = [x * det.numerator for x in flat]
+        den *= det.denominator
+        g = gcd(den, *flat)
+        self._adj_den = den // g
+        flat = [x // g for x in flat]
         self._adj_rows = tuple(flat[i * self.dim : (i + 1) * self.dim] for i in range(self.dim))
         self._adj_cols = tuple(zip(*self._adj_rows))
         self._det2 = det * det

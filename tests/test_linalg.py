@@ -10,6 +10,7 @@ from untensor.errors import DimensionMismatch
 from untensor.linalg import (
     Matrix,
     Subspace,
+    _solve_columns,
     determinant,
     factor_rank_one,
     format_scalar,
@@ -140,6 +141,39 @@ class TestIntegerCoreAgainstReference:
         for row, c in zip(reduced, pivots):
             x[c] = row[m.ncols]
         assert solve_linear(m, rhs) == tuple(x)
+
+    @given(rational_matrices(), st.data())
+    def test_solve_columns_one_elimination(self, m, data):
+        """Every right-hand side of a batch gets the solution it gets alone,
+        also after an inconsistent one, whose column is carried along."""
+        entry = st.one_of(st.just(F(0)), fractions)
+        columns = data.draw(st.lists(st.lists(entry, min_size=m.nrows, max_size=m.nrows), max_size=4))
+        expected = []
+        for rhs in columns:
+            reduced, pivots = reference_rref([row + (b,) for row, b in zip(m.rows, rhs)], m.ncols + 1)
+            if pivots and pivots[-1] == m.ncols:
+                expected.append(None)
+                continue
+            x = [F(0)] * m.ncols
+            for row, c in zip(reduced, pivots):
+                x[c] = row[m.ncols]
+            expected.append(tuple(x))
+        assert _solve_columns(m, columns) == expected
+
+    @given(rational_matrices(), st.data())
+    def test_apply_and_linear_combination(self, m, data):
+        """Both work on cleared integers; the reference is Fraction arithmetic.
+        apply is called twice, so the second call reads the kept integer rows."""
+        entry = st.one_of(st.just(F(0)), fractions)
+        for _ in range(2):
+            v = data.draw(st.lists(entry, min_size=m.ncols, max_size=m.ncols))
+            assert m.apply(v) == tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in m.rows)
+        if m.nrows:
+            coeffs = data.draw(st.lists(st.one_of(entry, small_ints), min_size=m.nrows, max_size=m.nrows))
+            expected = [F(0)] * m.ncols
+            for c, row in zip(coeffs, m.rows):
+                expected = [x + c * y for x, y in zip(expected, row)]
+            assert linear_combination(m.rows, coeffs) == tuple(expected)
 
     @given(rational_matrices(), st.data())
     def test_intersect(self, a, data):

@@ -140,15 +140,54 @@ def perturb_last_column(phi):
     return Matrix.from_columns(columns)
 
 
+def assert_columns_are_derived_products(recon):
+    """phi, from the linear conditions at w0, against square completion."""
+    d2 = recon.dims[1]
+    for j, e in enumerate(recon.basis_e):
+        for k, f in enumerate(recon.basis_f):
+            assert recon.product_matrix.column(j * d2 + k) == recon.derived_product(e, f)
+
+
+# Every shape from 2x2 to 4x4, 1x3 and 2x5; each runs pointed and unpointed.
+SWEEP = [
+    ((2, 3), 1), ((3, 3), 2), ((3, 4), 3), ((1, 3), 4), ((2, 2), 5), ((3, 2), 6), ((4, 3), 7), ((4, 4), 8),
+    ((2, 5), 9), ((2, 3), 10), ((3, 3), 11), ((2, 2), 12), ((4, 4), 13), ((2, 4), 14), ((4, 2), 15),
+]
+
+
+def sweep_recon(shape, seed, pointed=True):
+    return recover_factors(generate_instance(shape, seed, pointed=pointed), Random(seed))
+
+
 class TestProductMatrix:
-    @pytest.mark.parametrize("shape,seed", [((2, 3), 1), ((3, 3), 2), ((3, 4), 3), ((1, 3), 4)])
+    @pytest.mark.parametrize("shape,seed", SWEEP)
     def test_columns_are_derived_products(self, shape, seed):
-        inst = generate_instance(shape, seed, pointed=True)
-        recon = recover_factors(inst, Random(seed))
-        d2 = recon.dims[1]
-        for j, e in enumerate(recon.basis_e):
-            for k, f in enumerate(recon.basis_f):
-                assert recon.product_matrix.column(j * d2 + k) == recon.derived_product(e, f)
+        assert_columns_are_derived_products(sweep_recon(shape, seed))
+
+    @pytest.mark.parametrize("shape,seed", SWEEP)
+    def test_unpointed_columns_are_derived_products(self, shape, seed):
+        assert_columns_are_derived_products(sweep_recon(shape, seed, pointed=False))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (2, 5)])
+    def test_columns_of_other_bases_are_derived_products(self, shape):
+        recon = sweep_recon(shape, 14)
+
+        def mixed(basis, t):
+            # Row i becomes t^(i+1) * b_i + b_(i-1): still a basis, no longer echelon.
+            return [vadd(vscale(t ** (i + 1), b), basis[i - 1]) if i else vscale(t, b) for i, b in enumerate(basis)]
+
+        assert_columns_are_derived_products(recon.with_bases(mixed(recon.basis_e, F(-3, 2)), mixed(recon.basis_f, F(5))))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 4), (2, 5)])
+    def test_base_point_in_the_bases_takes_the_scaling_rule(self, shape):
+        recon = sweep_recon(shape, 15, pointed=False)
+        bases = []
+        for sheet, t in ((recon.sheet_w1, F(2)), (recon.sheet_w2, F(1))):
+            basis = list(sheet.subspace.basis_vectors())
+            coords = sheet.subspace.coordinates(recon.w0)
+            basis[next(i for i, c in enumerate(coords) if c != 0)] = vscale(t, recon.w0)
+            bases.append(basis)
+        assert_columns_are_derived_products(recon.with_bases(*bases))
 
     def test_identity_instance_unit_matrix(self, ident22_recon):
         inst, recon = ident22_recon
@@ -286,6 +325,22 @@ class TestRoundTripReport:
         report = verify_round_trip(inst, Reconstruction(inst, inst.base_point, other.pair))
         assert not report.success and report.swap is False and report.lam is None
         assert report.reason == "recovered sheets differ from the hidden sheets"
+
+    @pytest.mark.parametrize(
+        "side,base_point,reason",
+        [
+            ("basis_e", False, "the linear conditions at the base point admit no corner"),
+            ("basis_f", False, "the linear conditions at the base point admit no corner"),
+            ("basis_e", True, "derived products of the basis pairs do not span V"),
+        ],
+    )
+    def test_repeated_basis_vector_fails_without_raising(self, side, base_point, reason):
+        inst = generate_instance((3, 3), 18, pointed=True)
+        recon = recover_factors(inst, Random(19))
+        vector = recon.w0 if base_point else getattr(recon, side)[0]
+        report = verify_round_trip(inst, Reconstruction(inst, recon.w0, recon.pair, **{side: [vector] * 3}))
+        assert not report.success and report.lam is None
+        assert report.reason == reason
 
     def test_perturbed_column_is_not_a_single_scale(self):
         inst = generate_instance((3, 3), 18, pointed=True)
