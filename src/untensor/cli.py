@@ -124,6 +124,11 @@ def _cmd_square_complete(args) -> int:
         c = parse_vector(corners["c"])
     except (OSError, *_PARSE_ERRORS) as exc:
         raise _CliError(f"cannot read corners file {args.corners!r}: {exc}", EXIT_MALFORMED) from exc
+    for name, corner in zip("abc", (a, b, c)):
+        if len(corner) != inst.dim:
+            raise _CliError(
+                f"corner {name} length {len(corner)} does not match instance dimension {inst.dim}", EXIT_MALFORMED
+            )
     completion = complete_square_details(inst, a, b, c)
     payload = {
         "d": [format_scalar(x) for x in completion.d],

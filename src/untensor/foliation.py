@@ -6,22 +6,24 @@ the same foliation are disjoint, sheets of different foliations meet in a
 ray.  None of that structure is visible in the raw coordinates, but it can
 be dug out of S alone:
 
-* `tangent_equations(v)` linearizes the quadrics at v: the nonzero rows of
-  the reduced echelon form of `polar2_rows(v)`, one equation per
-  independent linear condition.  A tangent cache (a dict passed as
-  `cache`) maps `tuple(v)` to these rows, so each vector is eliminated
-  once however many tangent spaces it enters.
-* `tangent_space(v)` is the kernel of those equations for one-off
-  callers, so it takes no cache; it has dimension m + n - 1 and equals
-  the span of the two sheets through v.
-* `tangent_intersection(v, s)` is the kernel of both equation sets
-  stacked, and `cross_rays(v, s)` splits it for two generic simple
-  vectors: the intersection is a plane whose trace on S is exactly two
-  rational rays, one in each sheet through v.
+* `tangent_space(v)` linearizes the quadrics at v: T(v) is the kernel of
+  `polar2_rows(v)`, one elimination.  It has dimension m + n - 1 and
+  equals the span of the two sheets through v.  A tangent cache (a dict
+  passed as `cache`) maps `tuple(v)` to T(v), so an anchor is eliminated
+  once however many intersections it enters.
+* `tangent_equations(v)` is the reduced echelon basis of the row space of
+  `polar2_rows(v)`, one equation per independent linear condition.
+* `tangent_intersection(v, s)` restricts the polar rows of s to T(v):
+  with K a basis of T(v), T(v) ∩ T(s) = K · kernel(polar2_rows(s) · K).
+  Only the anchor v is eliminated in full; s costs a quadric-count by
+  (m + n - 1) system and is neither eliminated in full nor cached.
+  `cross_rays(v, s)` splits the intersection for two generic simple
+  vectors: it is a plane whose trace on S is exactly two rational rays,
+  one in each sheet through v.
 * `sheets_through(v)` takes the two cross rays g1, g2 of v and one random
   sample; each sheet through v is then T(v) ∩ T(g_i), and the pair is
-  certified with `subspace_in_S`.  It keeps its own tangent cache for the
-  one call.
+  certified with `subspace_in_S` and one rank.  Its tangent cache holds
+  the one anchor v for the call.
 * `transport` carries vectors between two sheets of one foliation along
   the ray correspondence, normalized by a chosen pair of reference
   vectors; it is realized by square completion.
@@ -108,41 +110,52 @@ def subspace_in_S(inst: TensorSpace, sub: Subspace) -> bool:
     return True
 
 
-def tangent_equations(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> tuple[Vector, ...]:
+def _tangent_point(inst: TensorSpace, v: Sequence) -> Vector:
+    """v as a tuple, once it is known to be a nonzero simple vector."""
+    v = tuple(v)
+    if is_zero_vector(v):
+        raise ZeroVector("tangent space needs a nonzero vector")
+    if not inst.is_simple(v):
+        raise NotSimpleVector("tangent space is defined at simple vectors only")
+    return v
+
+
+def tangent_equations(inst: TensorSpace, v: Sequence) -> tuple[Vector, ...]:
     """Reduced equations of the tangent space at a simple v.
 
     The rows are the canonical echelon basis of the span of the quadric
     linearizations w -> B_k(v, w); there are dim V - (m + n - 1) of them
-    (none for a trivial shape).  `cache` keeps them under tuple(v).
+    (none for a trivial shape).
+    """
+    return Subspace.row_space(inst.polar2_rows(_tangent_point(inst, v))).basis.rows
+
+
+def tangent_space(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> Subspace:
+    """Kernel of the quadric linearizations w -> B_k(v, w) at a simple v.
+
+    Contains both sheets through v; dimension m + n - 1 (for a trivial
+    shape the quadric list is empty and the tangent space is all of V,
+    which agrees with the formula).  `cache` keeps it under tuple(v).
     """
     key = tuple(v)
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    if is_zero_vector(key):
-        raise ZeroVector("tangent space needs a nonzero vector")
-    if not inst.is_simple(key):
-        raise NotSimpleVector("tangent space is defined at simple vectors only")
-    out = Subspace(inst.polar2_rows(key).rows, inst.dim).basis.rows
+    out = kernel(inst.polar2_rows(_tangent_point(inst, key)))
     if cache is not None:
         cache[key] = out
     return out
 
 
-def tangent_space(inst: TensorSpace, v: Sequence) -> Subspace:
-    """Kernel of the quadric linearizations w -> B_k(v, w) at a simple v.
-
-    Contains both sheets through v; dimension m + n - 1 (for a trivial
-    shape the quadric list is empty and the tangent space is all of V,
-    which agrees with the formula).
-    """
-    return kernel(Matrix(tangent_equations(inst, v), inst.dim))
-
-
 def tangent_intersection(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None = None) -> Subspace:
-    """The tangent spaces of v and s intersected: one kernel of both equation sets."""
-    return kernel(Matrix(tangent_equations(inst, v, cache) + tangent_equations(inst, s, cache), inst.dim))
+    """T(v) ∩ T(s): the vectors of T(v) on which the polar rows of s vanish.
+
+    T(v) comes from `tangent_space` and its cache; s is checked like any
+    tangent point, but its polar rows are only restricted to T(v).
+    """
+    anchor = tangent_space(inst, v, cache)
+    return anchor.meet_kernel(inst.polar2_rows(_tangent_point(inst, s)))
 
 
 def same_sheet(inst: TensorSpace, x: Sequence, y: Sequence) -> bool:
@@ -211,9 +224,10 @@ def sheets_through(inst: TensorSpace, v: Sequence, rng: Random) -> SheetPair:
     satisfy d1 * d2 == dim V and d1 + d2 == m + n, both sheets pass
     `subspace_in_S`, and they meet in a ray; otherwise (for instance when a
     cross ray is the ray of v, whose intersection is all of T(v)) the next
-    sample is drawn.  The tangent cache lives for this one call: the
-    equations of v are reused by every sample, and no other caller reads
-    the sample-side entries.
+    sample is drawn.  Given d1 + d2 == dim T(v) + 1, meeting in a ray is
+    the same as spanning T(v), which one rank of the stacked bases decides.
+    The tangent cache lives for this one call and holds T(v) only, which
+    every intersection restricts to.
     """
     v = tuple(v)
     if inst.quadric_count == 0:
@@ -223,7 +237,7 @@ def sheets_through(inst: TensorSpace, v: Sequence, rng: Random) -> SheetPair:
     if not inst.is_simple(v):
         raise NotSimpleVector("sheets exist through simple vectors only")
     cache: dict = {}
-    tangent_dim = inst.dim - len(tangent_equations(inst, v, cache))
+    tangent_dim = tangent_space(inst, v, cache).dim
     # tangent_dim + 1 == m + n, read off the cone instead of the hidden shape.
     budget = 64 * (tangent_dim + 1)
     for _ in range(budget):
@@ -238,7 +252,7 @@ def sheets_through(inst: TensorSpace, v: Sequence, rng: Random) -> SheetPair:
             and first.dim + second.dim == tangent_dim + 1
             and subspace_in_S(inst, first)
             and subspace_in_S(inst, second)
-            and first.intersect(second).dim == 1
+            and Matrix(first.basis.rows + second.basis.rows, inst.dim).rank() == tangent_dim
         ):
             ordered = sorted((first, second), key=lambda s: (-s.dim, s.basis.rows))
             return SheetPair(first=Sheet(ordered[0]), second=Sheet(ordered[1]))

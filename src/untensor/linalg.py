@@ -9,11 +9,26 @@ equal, and a ray (one-dimensional subspace) has a canonical generator whose
 first nonzero coordinate is 1.
 
 Every elimination (`rank`, `rref`, `kernel`, `inverse`, `solve_linear`,
-`determinant` and the `Subspace` reduction) runs through one integer core,
+`determinant` and the `Subspace` reductions) runs through one integer core,
 `_eliminate`: each row is scaled by the lcm of its denominators, rows are
 combined fraction-free over Python `int` with their gcd content divided out
 after every update (Bareiss 1968 keeps the same integrality with exact
 quotients), and Fractions are built only from the final reduced rows.
+
+A matrix may carry its rows cleared to integers (a memo of (ints, den)
+pairs).  `Matrix.apply` fills it on first use, `Matrix.from_integer_rows`
+and the reduced bases built here start with it, and every elimination
+reads it when it is there instead of clearing the Fractions again.
+Integer rows are never changed in place, so memos may share them.  Rows
+that this module built itself enter a `Matrix` or `Subspace` through
+private constructors that skip the coercion and reduction of the public
+ones.
+
+`kernel` eliminates once, with the columns in reverse order: every pivot
+row then ends at its pivot, so the null vectors read off the free columns
+already are the canonical reduced basis.  `Subspace.meet_kernel` restricts
+a system to a subspace with a known basis K: it eliminates m·K, which has
+one column per basis vector, instead of m itself.
 
 Scalars serialize as "p/q" strings ("p" when the denominator is 1) and
 round-trip exactly.
@@ -44,7 +59,7 @@ def format_scalar(value: Fraction) -> str:
     return str(value)
 
 
-_SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_scalar(value) -> Fraction:
@@ -56,9 +71,13 @@ def parse_scalar(value) -> Fraction:
     binary approximation.
     """
     if isinstance(value, str):
-        if not _SCALAR_TEXT.fullmatch(value):
+        match = _SCALAR_TEXT.fullmatch(value)
+        if not match:
             raise ValueError(f"scalar {value!r} is not of the form p or p/q")
-    elif type(value) is not int:
+        # The matched integers make the Fraction; a "p/0" raises ZeroDivisionError.
+        num, den = match.groups()
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    if type(value) is not int:
         raise TypeError(f"scalar {value!r} is neither a JSON integer nor a p or p/q string")
     return Fraction(value)
 
@@ -82,6 +101,12 @@ def vadd(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise ValueError("vector lengths differ")
     return tuple(a + b for a, b in zip(u, v))
+
+
+def vsub(u: Vector, v: Vector) -> Vector:
+    if len(u) != len(v):
+        raise ValueError("vector lengths differ")
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(t, v: Vector) -> Vector:
@@ -161,12 +186,35 @@ class Matrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rows: tuple[Vector, ...], ncols: int, cleared: list | None = None) -> "Matrix":
+        """A matrix of rows that this module built itself: equal-length tuples
+        of Fractions, taken as they are.  `cleared`, when given, is the
+        integer-row memo, one (ints, den) pair per row."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        if cleared is not None:
+            m._integer_rows = cleared
+        return m
+
+    @classmethod
+    def from_integer_rows(cls, rows: Iterable[Sequence[int]], den: int, ncols: int) -> "Matrix":
+        """The matrix rows / den, for integer rows over one nonzero common
+        denominator.  The integer rows are kept as the memo, so eliminations
+        and products read them without clearing the Fractions again."""
+        cleared = [(list(row), den) for row in rows]
+        if any(len(ints) != ncols for ints, _ in cleared):
+            raise ValueError("declared column count does not match rows")
+        return cls._trusted(tuple(from_integers(ints, den) for ints, _ in cleared), ncols, cleared)
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n)
+        return cls._trusted(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(tuple((ZERO,) * ncols for _ in range(nrows)), ncols)
+        return cls._trusted(tuple((ZERO,) * ncols for _ in range(nrows)), ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
@@ -175,7 +223,7 @@ class Matrix:
             nrows = len(cols[0])
         elif nrows is None:
             raise ValueError("a matrix with no columns needs an explicit row count")
-        return cls(tuple(tuple(col[i] for col in cols) for i in range(nrows)), len(cols))
+        return cls._trusted(tuple(tuple(col[i] for col in cols) for i in range(nrows)), len(cols))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -203,17 +251,16 @@ class Matrix:
 
     def scale(self, t) -> "Matrix":
         t = frac(t)
-        return Matrix(tuple(tuple(t * a for a in row) for row in self.rows), self.ncols)
+        return Matrix._trusted(tuple(tuple(t * a for a in row) for row in self.rows), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
         cols = [to_integers(other.column(j)) for j in range(other.ncols)]
         out = []
-        for row in self.rows:
-            ints, den = to_integers(row)
+        for ints, den in self._cleared():
             out.append(tuple(Fraction(sum(map(mul, ints, col)), den * col_den) for col, col_den in cols))
-        return Matrix(tuple(out), other.ncols)
+        return Matrix._trusted(tuple(out), other.ncols)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product, as integer dot products over cleared denominators.
@@ -224,15 +271,28 @@ class Matrix:
         """
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        try:
-            rows = self._integer_rows
-        except AttributeError:
-            rows = self._integer_rows = [to_integers(row) for row in self.rows]
         ints, den = to_integers(v)
-        return tuple(Fraction(sum(map(mul, row_ints, ints)), row_den * den) for row_ints, row_den in rows)
+        return tuple(
+            Fraction(sum(map(mul, row_ints, ints)), row_den * den) for row_ints, row_den in self._cleared(keep=True)
+        )
+
+    def _cleared(self, keep: bool = False) -> list[tuple[list[int], int]]:
+        """The rows as (ints, den) pairs: the memo when there is one, else
+        cleared afresh, and kept as the memo only when `keep` asks for it."""
+        try:
+            return self._integer_rows
+        except AttributeError:
+            rows = [to_integers(row) for row in self.rows]
+            if keep:
+                self._integer_rows = rows
+            return rows
+
+    def _elimination_rows(self) -> list[list[int]]:
+        """Integer rows with the same row space, for `_eliminate`; makes no memo."""
+        return [ints for ints, _ in self._cleared()]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._trusted(
             tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
             self.nrows,
         )
@@ -243,12 +303,12 @@ class Matrix:
         for ra in self.rows:
             for rb in other.rows:
                 out.append(tuple(a * b for a in ra for b in rb))
-        return Matrix(tuple(out), self.ncols * other.ncols)
+        return Matrix._trusted(tuple(out), self.ncols * other.ncols)
 
     # -- elimination-based queries ------------------------------------------
 
     def rank(self) -> int:
-        return len(_eliminate(_integer_rows(self.rows), self.ncols)[0])
+        return len(_eliminate(self._elimination_rows(), self.ncols)[0])
 
     def det(self) -> Fraction:
         return determinant(self)
@@ -279,11 +339,9 @@ def from_integers(ints: Sequence[int], den: int) -> Vector:
     return tuple(Fraction(x, den) for x in ints)
 
 
-def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    return [to_integers(row)[0] for row in rows]
-
-
-def _eliminate(rows: list[list[int]], ncols: int, *, track_det: bool = False) -> tuple[list[int], Fraction]:
+def _eliminate(
+    rows: list[list[int]], ncols: int, *, track_det: bool = False, reverse: bool = False
+) -> tuple[list[int], Fraction]:
     """Fraction-free Gauss-Jordan elimination over int, in place.
 
     A row update replaces a row by p*row - e*pivot_row (p the pivot entry,
@@ -291,7 +349,9 @@ def _eliminate(rows: list[list[int]], ncols: int, *, track_det: bool = False) ->
     divides out the gcd content of the result, so rows stay primitive.
     Afterwards rows[r] (r < len(pivots)) is nonzero at pivots[r] and zero in
     every other pivot column, the remaining rows are zero, and dividing each
-    pivot row by its pivot entry gives the reduced row-echelon form.
+    pivot row by its pivot entry gives the reduced row-echelon form.  With
+    reverse the columns are taken from the last to the first, so each pivot
+    row is instead zero in every column right of its pivot.
 
     Returns the pivot columns and a factor: with track_det, the one by which
     the swaps, combinations and content divisions multiplied the determinant
@@ -309,7 +369,7 @@ def _eliminate(rows: list[list[int]], ncols: int, *, track_det: bool = False) ->
             if track_det:
                 divided *= g
     r = 0
-    for c in range(ncols):
+    for c in range(ncols - 1, -1, -1) if reverse else range(ncols):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -340,18 +400,53 @@ def _eliminate(rows: list[list[int]], ncols: int, *, track_det: bool = False) ->
     return pivots, Fraction(scaled, divided)
 
 
-def _reduced_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[Vector], list[int]]:
-    """The nonzero rows of the reduced row-echelon form, and their pivot columns."""
-    ints = _integer_rows(rows)
-    pivots, _ = _eliminate(ints, ncols)
-    return [from_integers(row, row[c]) for row, c in zip(ints, pivots)], pivots
+def _echelon_matrix(leads: Iterable[tuple[list[int], int]], ncols: int) -> Matrix:
+    """The matrix whose rows are the integer rows, each divided by its entry
+    at the given lead column; the integer rows stay on as its memo."""
+    rows, cleared = [], []
+    for ints, c in leads:
+        den = ints[c]
+        rows.append(tuple(Fraction(x, den) if x else ZERO for x in ints))
+        cleared.append((ints, den))
+    return Matrix._trusted(tuple(rows), ncols, cleared)
+
+
+def _row_echelon(rows: list[list[int]], ncols: int) -> Matrix:
+    """The nonzero rows of the reduced row-echelon form of the integer rows."""
+    pivots, _ = _eliminate(rows, ncols)
+    return _echelon_matrix(zip(rows, pivots), ncols)
+
+
+def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], int]]:
+    """Integer null vectors of the integer rows, as (z, f) for each free column f.
+
+    One elimination with the columns in reverse order leaves every pivot
+    row zero right of its pivot, so the null vector that is 1 at f and 0 at
+    the other free columns is 0 left of f as well.  Taken by increasing f,
+    these vectors are the canonical reduced-echelon basis of the kernel;
+    each is returned scaled to integers, with z[f] > 0.
+    """
+    pivots, _ = _eliminate(rows, ncols, reverse=True)
+    pivot_rows = list(zip(pivots, rows))
+    pivot_set = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        hits = [(c, row) for c, row in pivot_rows if row[f]]
+        scale = lcm(*[row[c] for c, row in hits])
+        z = [0] * ncols
+        z[f] = scale
+        for c, row in hits:
+            z[c] = -row[f] * (scale // row[c])
+        out.append((z, f))
+    return out
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form; the shape (zero rows included) is kept."""
-    reduced, _ = _reduced_rows(m.rows, m.ncols)
-    zero_rows = [vzero(m.ncols)] * (m.nrows - len(reduced))
-    return Matrix(tuple(reduced + zero_rows), m.ncols)
+    reduced = _row_echelon(m._elimination_rows(), m.ncols).rows
+    return Matrix._trusted(reduced + (vzero(m.ncols),) * (m.nrows - len(reduced)), m.ncols)
 
 
 def inverse_and_determinant(m: Matrix) -> tuple[Matrix | None, Fraction]:
@@ -376,7 +471,7 @@ def inverse_and_determinant(m: Matrix) -> tuple[Matrix | None, Fraction]:
     product = 1
     for row, c in zip(aug, pivots):
         product *= row[c]
-    inverse = Matrix(tuple(from_integers(row[n:], row[c]) for row, c in zip(aug, pivots)), n)
+    inverse = Matrix._trusted(tuple(from_integers(row[n:], row[c]) for row, c in zip(aug, pivots)), n)
     return inverse, product / (factor * cleared)
 
 
@@ -402,8 +497,7 @@ def _solve_columns(a: Matrix, columns: Sequence[Sequence[Fraction]]) -> list[Vec
     n = a.ncols
     cleared = [to_integers(b) for b in columns]
     rows = []
-    for i, row in enumerate(a.rows):
-        ints, den = to_integers(row)
+    for i, (ints, den) in enumerate(a._cleared()):
         rows.append(ints + [den * b[i] for b, _ in cleared])
     pivots, _ = _eliminate(rows, n)
     rank = len(pivots)
@@ -434,8 +528,16 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch.of(ambient_dim, len(r))
-        self.basis = Matrix(_reduced_rows(rows, ambient_dim)[0], ambient_dim)
+        self.basis = _row_echelon([to_integers(r)[0] for r in rows], ambient_dim)
         self.ambient_dim = ambient_dim
+
+    @classmethod
+    def _reduced(cls, basis: Matrix) -> "Subspace":
+        """The subspace whose canonical basis this module has just built."""
+        sub = cls.__new__(cls)
+        sub.basis = basis
+        sub.ambient_dim = basis.ncols
+        return sub
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -443,7 +545,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(Matrix.identity(ambient_dim).rows, ambient_dim)
+        return cls._reduced(Matrix.identity(ambient_dim))
+
+    @classmethod
+    def row_space(cls, m: Matrix) -> "Subspace":
+        """The span of the rows of m, eliminated from its integer rows."""
+        return cls._reduced(_row_echelon(m._elimination_rows(), m.ncols))
 
     @property
     def dim(self) -> int:
@@ -488,16 +595,41 @@ class Subspace:
         self._check_ambient(other)
         return Subspace(self.basis.rows + other.basis.rows, self.ambient_dim)
 
+    def meet_kernel(self, m: Matrix) -> "Subspace":
+        """The vectors of this subspace that m maps to zero.
+
+        With K the basis, x = K·c lies in the kernel of m exactly when
+        (m·K)·c = 0, so only m·K, one column per basis vector, is
+        eliminated.  The basis rows are cleared to integers k_i / den_i;
+        for each null vector z of the integer product, x = sum z_i k_i.
+        Since K is in reduced echelon form with lead columns p_i, and z is
+        0 left of its free column f and at the other free columns, x is 0
+        left of p_f and at the lead columns of the other null vectors:
+        divided by x[p_f], these x are the canonical basis of the meet.
+        """
+        if m.ncols != self.ambient_dim:
+            raise DimensionMismatch.of(self.ambient_dim, m.ncols)
+        basis = [ints for ints, _ in self.basis._cleared(keep=True)]
+        product = [[sum(map(mul, row, k)) for k in basis] for row in m._elimination_rows()]
+        leads = []
+        for z, f in _null_vectors(product, len(basis)):
+            x = [0] * self.ambient_dim
+            for zi, k in zip(z, basis):
+                if zi:
+                    x = [a + zi * b for a, b in zip(x, k)]
+            leads.append((x, first_nonzero_index(basis[f])))
+        return Subspace._reduced(_echelon_matrix(leads, self.ambient_dim))
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Largest subspace contained in both: the kernel of both equation sets stacked.
+        """Largest subspace contained in both: this one restricted to the
+        equations of the other.
 
         The equations of a subspace are the kernel of its basis, since x
         lies in the span of the basis rows exactly when every vector
         orthogonal to them is orthogonal to x.
         """
         self._check_ambient(other)
-        equations = kernel(self.basis).basis.rows + kernel(other.basis).basis.rows
-        return kernel(Matrix(equations, self.ambient_dim))
+        return self.meet_kernel(kernel(other.basis).basis)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -505,20 +637,11 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """The solution space {x : m·x = 0}; dimension = ncols - rank."""
-    rows = _integer_rows(m.rows)
-    pivots, _ = _eliminate(rows, m.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        x = [ZERO] * m.ncols
-        x[f] = ONE
-        for row, c in zip(rows, pivots):
-            x[c] = Fraction(-row[f], row[c])
-        basis.append(x)
-    return Subspace(basis, m.ncols)
+    """The solution space {x : m·x = 0}; dimension = ncols - rank.
+
+    One elimination gives the canonical basis directly (see `_null_vectors`).
+    """
+    return Subspace._reduced(_echelon_matrix(_null_vectors(m._elimination_rows(), m.ncols), m.ncols))
 
 
 def ray_generator(v: Sequence[Fraction]) -> Vector:

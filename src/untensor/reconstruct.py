@@ -14,7 +14,9 @@ definition.  `product_matrix` builds all d1 * d2 products of basis
 vectors together from linear conditions at w0: one elimination of the
 polar rows of w0 with every right-hand side carried along, one small
 elimination per basis vector for the parts in W1 and W2, and one linear
-equation for the scale along w0 (see `_generic_products`).
+equation for the scale along w0 (see `_generic_products`).  One rank of
+φ checks that the products span V; φ⁻¹, which only `coefficient_grid`
+reads, is built the first time it is asked for.
 
 `verify_round_trip` is the only place that deliberately looks behind the
 scramble, and it reads everything from rank-one gauges of hidden grids.
@@ -57,6 +59,7 @@ from untensor.linalg import (
     proportionality_ratio,
     rank_one_gauge,
     vscale,
+    vsub,
     vzero,
 )
 from untensor.squares import common_root, complete_square
@@ -149,12 +152,9 @@ class Reconstruction:
                 for k, f in enumerate(self.basis_f)
             ]
             phi = Matrix.from_columns(columns)
-            try:
-                inv = phi.inverse()
-            except ValueError:
-                raise RankDeficient("derived products of the basis pairs do not span V") from None
+            if phi.rank() < self.inst.dim:
+                raise RankDeficient("derived products of the basis pairs do not span V")
             self._phi = phi
-            self._phi_inv = inv
         return self._phi
 
     def _generic_products(self) -> dict[tuple[int, int], Vector]:
@@ -204,19 +204,20 @@ class Reconstruction:
             for b, (_, f) in enumerate(fs)
         ]
         # 3. The scale s along w0, from Q(d' - s w0) = Q(d') + s 2B(e, f).
-        spanning = [e for _, e in es] + [f for _, f in fs]
+        spanning = Matrix.from_columns([e for _, e in es] + [f for _, f in fs])
         out = {}
         for a, (j, _) in enumerate(es):
             for b, (k, _) in enumerate(fs):
-                d_prime = linear_combination([y[a][b]] + spanning, (-1,) + on_e[b][a] + on_f[a][b])
+                d_prime = vsub(spanning.apply(on_e[b][a] + on_f[a][b]), y[a][b])
                 s = common_root(inst.minor_values(d_prime), table[a][b])
                 out[j, k] = linear_combination((d_prime, w0), (1, -s))
         return out
 
     @property
     def product_matrix_inverse(self) -> Matrix:
-        self.product_matrix
-        assert self._phi_inv is not None
+        """φ⁻¹, built the first time it is read; recovery and verification never read it."""
+        if self._phi_inv is None:
+            self._phi_inv = self.product_matrix.inverse()
         return self._phi_inv
 
     def coefficient_grid(self, v: Sequence) -> Matrix:

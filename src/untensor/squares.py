@@ -120,7 +120,8 @@ def complete_square_details(
 
     A plane of dimension other than 2, quadrics that all vanish on it, a
     double root at a, or quadrics disagreeing on x raise Degenerate; a
-    plane missing a raises PreconditionViolated.
+    plane missing a raises PreconditionViolated.  b is the anchor of the
+    plane, so `cache` keeps T(b) and c is only restricted to it.
     """
     a = tuple(a)
     b = tuple(b)

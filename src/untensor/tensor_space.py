@@ -23,8 +23,12 @@ on hidden coordinates u, w.  `minor_values` is Q_k = 1/2 * 2*B_k(v, v),
 `is_simple` asks that every 2*B_k(v, v) vanish, `polar2_values` is
 2*B_k(x, y), `binary_restriction(d1, d2)` is (Q_k(d1), 2*B_k(d1, d2),
 Q_k(d2)), and row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the
-columns of the adjugate.  None of these public methods calls another, so
-each query bumps `oracle_calls` once.
+columns of the adjugate.  That row is one integer combination of the four
+adjugate rows a, b, c, d of minor k, with the hidden coordinates of v as
+coefficients, and the rows reach `linalg` as integers over one common
+denominator (`Matrix.from_integer_rows`), so eliminations never clear
+them again.  None of these public methods calls another, so each query
+bumps `oracle_calls` once.
 
 The hidden coordinates come from the adjugate of the scramble, which
 multiplies every quadric value by the fixed positive constant
@@ -202,7 +206,6 @@ class TensorSpace:
         self._adj_den = den // g
         flat = [x // g for x in flat]
         self._adj_rows = tuple(flat[i * self.dim : (i + 1) * self.dim] for i in range(self.dim))
-        self._adj_cols = tuple(zip(*self._adj_rows))
         self._det2 = det * det
         self.seed = seed
         self.sampler_range = sampler_range
@@ -291,15 +294,22 @@ class TensorSpace:
     def polar2_rows(self, v: Sequence[Fraction]) -> Matrix:
         """The stacked linear functionals w -> 2*B_k(v, w), one row per quadric.
 
-        Column p holds the form against column p of the adjugate.  Rows
-        share the det^2 scale, so kernels and solution ratios agree with
-        the exact polarizations.
+        Column p holds the form against column p of the adjugate, so for
+        minor k = (a, b, c, d, sign) and u the hidden coordinates of v, row k
+        is u_d adj_a + u_a adj_d - sign * (u_c adj_b + u_b adj_c) over the
+        adjugate rows.  Rows share the det^2 scale, so kernels and solution
+        ratios agree with the exact polarizations.
         """
         self.stats.oracle_calls += 1
         u, q = self._scaled_hidden(v)
-        den = q * self._adj_den
-        columns = [tuple(self._polar2(u, col)) for col in self._adj_cols]
-        return Matrix([from_integers(row, den) for row in zip(*columns)], self.dim)
+        adj = self._adj_rows
+        rows = []
+        for a, b, c, d, sign in self._minors:
+            ca, cb, cc, cd = u[d], -sign * u[c], -sign * u[b], u[a]
+            rows.append(
+                [ca * xa + cb * xb + cc * xc + cd * xd for xa, xb, xc, xd in zip(adj[a], adj[b], adj[c], adj[d])]
+            )
+        return Matrix.from_integer_rows(rows, q * self._adj_den, self.dim)
 
     def binary_restriction(
         self, d1: Sequence[Fraction], d2: Sequence[Fraction]

@@ -348,6 +348,16 @@ class TestSimpleCheckAndSquares:
         code, _ = run(capsys, "square-complete", str(ident_file), str(corners))
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["a", "b", "c"])
+    def test_square_complete_wrong_length_corner_exit_2(self, tmp_path, capsys, ident_file, name):
+        # simple-check exits 2 on a wrong-length vector, and so does a wrong-length corner
+        corners = {"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": [0, 0, 1, 0]}
+        corners[name] = corners[name][:3]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(corners))
+        assert main(["square-complete", str(ident_file), str(path)]) == 2
+        assert f"corner {name} length 3 does not match instance dimension 4" in capsys.readouterr().err
+
     def test_square_complete_zero_denominator_exit_2(self, tmp_path, capsys, ident_file):
         corners = tmp_path / "c.json"
         corners.write_text(json.dumps({"a": [1, 0, 0, 0], "b": [0, 1, 0, 0], "c": ["1/0", 0, 1, 0]}))

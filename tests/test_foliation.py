@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from untensor import linalg
 from untensor.errors import (
     Degenerate,
     MalformedSheets,
@@ -95,35 +96,99 @@ class TestTangentSpace:
 
 
 class TestTangentEquations:
-    def test_cache_holds_the_reduced_polar_rows(self):
-        inst = generate_instance((3, 4), 8)
-        rng = Random(4)
-        v, s = inst.sample_simple(rng), inst.sample_simple(rng)
-        cache = {}
-        meet = tangent_intersection(inst, v, s, cache)
-        assert set(cache) == {v, s}
-        for u in (v, s):
-            assert cache[u] == Subspace(inst.polar2_rows(u).rows, inst.dim).basis.rows
-            assert len(cache[u]) == inst.dim - (3 + 4 - 1)
-            assert tangent_space(inst, u) == kernel(inst.polar2_rows(u))
-        assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
-
-    def test_cached_vectors_cost_no_oracle_calls(self):
-        inst = generate_instance((3, 3), 9)
-        rng = Random(5)
-        v, s = inst.sample_simple(rng), inst.sample_simple(rng)
-        cache = {}
-        first = tangent_intersection(inst, v, s, cache)
-        calls = inst.stats.oracle_calls
-        assert tangent_intersection(inst, s, v, cache) == first
-        assert tangent_equations(inst, v, cache) is cache[v]
-        assert inst.stats.oracle_calls == calls
-
     def test_trivial_shape_has_no_equations(self):
         inst = generate_instance((1, 4), 3)
         v = inst.sample_simple(Random(0))
         assert tangent_equations(inst, v) == ()
         assert tangent_space(inst, v) == Subspace.full(4)
+
+    def test_equations_cut_out_the_tangent_space(self):
+        inst = generate_instance((3, 4), 8)
+        v = inst.sample_simple(Random(4))
+        equations = tangent_equations(inst, v)
+        assert equations == Subspace(inst.polar2_rows(v).rows, inst.dim).basis.rows
+        assert len(equations) == inst.dim - (3 + 4 - 1)
+        assert kernel(Matrix(equations, inst.dim)) == tangent_space(inst, v)
+
+
+def stacked_meet(inst, v, s):
+    """T(v) ∩ T(s) as one kernel of both polar row sets stacked."""
+    return kernel(Matrix(inst.polar2_rows(v).rows + inst.polar2_rows(s).rows, inst.dim))
+
+
+class TestTangentIntersection:
+    def test_cache_holds_the_anchor_tangent_space(self):
+        inst = generate_instance((3, 4), 8)
+        rng = Random(4)
+        v, s = inst.sample_simple(rng), inst.sample_simple(rng)
+        cache = {}
+        meet = tangent_intersection(inst, v, s, cache)
+        assert set(cache) == {v}
+        assert cache[v] == tangent_space(inst, v) == kernel(inst.polar2_rows(v))
+        assert cache[v].dim == 3 + 4 - 1
+        assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
+
+    def test_cached_anchor_costs_only_the_new_vector(self, monkeypatch):
+        inst = generate_instance((3, 3), 9)
+        rng = Random(5)
+        v, s = inst.sample_simple(rng), inst.sample_simple(rng)
+        cache = {}
+        first = tangent_intersection(inst, v, s, cache)
+        anchor = cache[v]
+        queries, eliminated = [], []
+
+        def recording(name, method):
+            def call(*args):
+                queries.append((name, *args))
+                return method(*args)
+
+            return call
+
+        for name in ("is_simple", "polar2_rows", "minor_values", "polar2_values", "binary_restriction"):
+            monkeypatch.setattr(inst, name, recording(name, getattr(inst, name)))
+        eliminate = linalg._eliminate
+
+        def counted(rows, ncols, **kwargs):
+            eliminated.append(ncols)
+            return eliminate(rows, ncols, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        calls = inst.stats.oracle_calls
+        assert tangent_intersection(inst, v, s, cache) == first
+        # s is checked and its polar rows are read; v is neither queried nor eliminated again,
+        # and the one elimination is the restricted system, one column per basis vector of T(v).
+        assert queries == [("is_simple", s), ("polar2_rows", s)]
+        assert inst.stats.oracle_calls == calls + 2
+        assert eliminated == [anchor.dim]
+        assert set(cache) == {v} and cache[v] is anchor
+        assert first == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])
+    def test_restricted_meet_equals_stacked_kernels(self, shape):
+        inst = generate_instance(shape, 30)
+        rng = Random(31)
+        m, n = shape
+
+        def draw(length):
+            while True:
+                x = [rng.randint(-5, 5) for _ in range(length)]
+                if any(x):
+                    return x
+
+        alpha, beta = draw(m), draw(n)
+        v = inst.embed_simple(alpha, beta)
+        partners = [inst.sample_simple(rng) for _ in range(3)]
+        # on the sheet through v of each foliation, and on the ray of v
+        partners += [inst.embed_simple(draw(m), beta), inst.embed_simple(alpha, draw(n)), vscale(F(-3, 2), v)]
+        for s in partners:
+            assert tangent_intersection(inst, v, s) == stacked_meet(inst, v, s)
+        assert tangent_intersection(inst, v, vscale(7, v)) == tangent_space(inst, v)
+
+    def test_rejects_zero_and_nonsimple_partner(self, ident22):
+        with pytest.raises(ZeroVector):
+            tangent_intersection(ident22, (1, 0, 0, 0), (0, 0, 0, 0))
+        with pytest.raises(NotSimpleVector):
+            tangent_intersection(ident22, (1, 0, 0, 0), (1, 0, 0, 1))
 
 
 class TestCrossRays:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from untensor import linalg
 from untensor.errors import DimensionMismatch
 from untensor.linalg import (
     Matrix,
@@ -176,6 +177,34 @@ class TestIntegerCoreAgainstReference:
             assert linear_combination(m.rows, coeffs) == tuple(expected)
 
     @given(rational_matrices(), st.data())
+    def test_meet_kernel(self, a, data):
+        """The restriction of m to a subspace against one kernel of the
+        subspace's equations and m stacked; the result is canonical as built."""
+        m = data.draw(rational_matrices(ncols=a.ncols))
+        sub = Subspace(a.rows, a.ncols)
+        meet = sub.meet_kernel(m)
+        equations = kernel(sub.basis).basis.rows + m.rows
+        assert meet == kernel(Matrix(equations, a.ncols))
+        assert meet.basis == Subspace(meet.basis.rows, a.ncols).basis
+        assert all(sub.contains(v) and not any(m.apply(v)) for v in meet.basis_vectors())
+
+    @given(
+        st.lists(st.lists(small_ints, min_size=3, max_size=3), max_size=4),
+        st.integers(min_value=-12, max_value=12).filter(bool),
+    )
+    def test_from_integer_rows(self, rows, den):
+        """Integer rows over a common denominator make the same matrix as their Fractions."""
+        m = Matrix.from_integer_rows(rows, den, 3)
+        reference = Matrix([[F(x, den) for x in row] for row in rows], 3)
+        assert m == reference and hash(m) == hash(reference)
+        assert m.rank() == reference.rank()
+        assert kernel(m) == kernel(reference)
+        assert rref(m) == rref(reference)
+        assert Subspace.row_space(m) == Subspace(reference.rows, 3)
+        v = (F(1), F(-2, 3), F(5))
+        assert m.apply(v) == reference.apply(v)
+
+    @given(rational_matrices(), st.data())
     def test_intersect(self, a, data):
         b = data.draw(rational_matrices(ncols=a.ncols))
         sa, sb = Subspace(a.rows, a.ncols), Subspace(b.rows, b.ncols)
@@ -226,6 +255,26 @@ class TestKernel:
     def test_rank_nullity(self, rows):
         m = Matrix(rows)
         assert m.rank() + kernel(m).dim == m.ncols
+
+    def test_one_elimination(self, monkeypatch):
+        calls = []
+        eliminate = linalg._eliminate
+
+        def counted(rows, ncols, **kwargs):
+            calls.append(kwargs)
+            return eliminate(rows, ncols, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        k = kernel(Matrix([[1, 2, 3, 4], [2, 4, 6, 9], [0, 0, 0, 1]]))
+        assert calls == [{"reverse": True}]
+        assert k == Subspace([(-2, 1, 0, 0), (-3, 0, 1, 0)], 4)
+
+    def test_rank_makes_no_integer_row_memo(self):
+        m = Matrix([[1, F(1, 2)], [F(2, 3), 1]])
+        assert m.rank() == 2
+        assert not hasattr(m, "_integer_rows")
+        m.apply((1, 1))
+        assert hasattr(m, "_integer_rows")
 
 
 class TestSubspace:
@@ -311,6 +360,16 @@ class TestScalars:
     @given(fractions)
     def test_serialization_round_trip(self, q):
         assert parse_scalar(format_scalar(q)) == q
+
+    def test_parse_reads_the_matched_integers(self):
+        assert parse_scalar("-4/6") == F(-2, 3)
+        assert parse_scalar("+007") == 7 and parse_scalar("0/5") == 0
+        assert type(parse_scalar("12")) is F and type(parse_scalar(12)) is F
+        with pytest.raises(ZeroDivisionError):
+            parse_scalar("1/0")
+        for text in ("1e3", "1.5", "1/-2", "", "/2"):
+            with pytest.raises(ValueError):
+                parse_scalar(text)
 
     def test_format_omits_unit_denominator(self):
         assert format_scalar(F(5)) == "5"

@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from untensor.errors import MembershipViolated, NotSimpleVector
+from untensor import linalg
+from untensor.errors import MembershipViolated, NotSimpleVector, RankDeficient
 from untensor.linalg import Matrix, Subspace, is_zero_vector, linear_combination, vadd, vscale
 from untensor.reconstruct import Reconstruction, recover_factors, verify_round_trip
 from untensor.tensor_space import build_instance, generate_instance
@@ -198,6 +199,33 @@ class TestProductMatrix:
             inst = generate_instance(shape, seed, pointed=True)
             recon = recover_factors(inst, Random(seed))
             assert recon.product_matrix.det() != 0
+
+    def test_singular_phi_raises_rank_deficient(self):
+        inst = generate_instance((3, 3), 18, pointed=True)
+        recon = recover_factors(inst, Random(19))
+        repeated = Reconstruction(inst, recon.w0, recon.pair, basis_e=[recon.w0] * 3)
+        with pytest.raises(RankDeficient):
+            repeated.product_matrix
+        with pytest.raises(RankDeficient):
+            repeated.product_matrix_inverse
+
+    def test_recovery_leaves_the_inverse_unbuilt(self, monkeypatch):
+        inverted = []
+        invert = linalg.inverse_and_determinant
+
+        def counted(m):
+            inverted.append(m)
+            return invert(m)
+
+        inst = generate_instance((3, 3), 2, pointed=True)
+        monkeypatch.setattr(linalg, "inverse_and_determinant", counted)
+        recon = recover_factors(inst, Random(2))
+        assert verify_round_trip(inst, recon).success
+        assert inverted == []
+        inverse = recon.product_matrix_inverse
+        assert inverted == [recon.product_matrix]
+        assert inverse @ recon.product_matrix == Matrix.identity(inst.dim)
+        assert recon.product_matrix_inverse is inverse and len(inverted) == 1
 
     def test_rank_one_grids_land_on_cone(self):
         inst = generate_instance((3, 3), 11, pointed=True)
