@@ -6,7 +6,9 @@ fully determined by --seed, so reruns produce byte-identical files and
 stdout.  All file formats are JSON with scalars serialized as "p/q".
 
 Exit codes: 0 success; 1 verification mismatch or property violation;
-2 malformed arguments or input files; 3 sampling budget exhausted.
+2 malformed arguments or input files, or a shape to generate with
+m * n > 100; 3 no certified sheet pair among the candidates (the
+instance's cone is not a Segre cone).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_MALFORMED = 2
 EXIT_RETRY = 3
+
+# Largest m * n that gen and spin-demo generate: a scramble is (m n)^2 entries.
+MAX_GENERATED_DIM = 100
 
 
 # What parsing outside input can raise: bad JSON or scalar text, a "p/0" or
@@ -83,9 +88,15 @@ def _parse_vector(args, dim: int):
     return v
 
 
-def _cmd_gen(args) -> int:
-    if args.m < 1 or args.n < 1:
+def _check_shape(m: int, n: int) -> None:
+    if m < 1 or n < 1:
         raise _CliError("factor dimensions must be at least 1", EXIT_MALFORMED)
+    if m * n > MAX_GENERATED_DIM:
+        raise _CliError(f"shape {m}x{n} exceeds m * n <= {MAX_GENERATED_DIM}", EXIT_MALFORMED)
+
+
+def _cmd_gen(args) -> int:
+    _check_shape(args.m, args.n)
     if args.sampler_range < 1:
         raise _CliError("--sampler-range must be at least 1", EXIT_MALFORMED)
     inst = generate_instance((args.m, args.n), args.seed, pointed=args.pointed, sampler_range=args.sampler_range)
@@ -145,10 +156,10 @@ def _cmd_spin_demo(args) -> int:
         for chunk in args.dims.split(","):
             m_text, n_text = chunk.lower().split("x")
             dims.append((int(m_text), int(n_text)))
-        if not dims or any(m < 1 or n < 1 for m, n in dims):
-            raise ValueError("dimensions must be positive")
     except ValueError as exc:
         raise _CliError(f"cannot parse --dims {args.dims!r}: {exc}", EXIT_MALFORMED) from exc
+    for m, n in dims:
+        _check_shape(m, n)
     lines = []
     ok = True
     for i, (m, n) in enumerate(dims):

@@ -22,11 +22,13 @@ class NotSimpleVector(ToolkitError):
 
 
 class Degenerate(ToolkitError):
-    """A randomized step hit a degenerate configuration; resample and retry."""
+    """A configuration is degenerate for the construction asked of it,
+    e.g. a plane that does not split into two rational rays of the cone."""
 
 
 class RetryExhausted(ToolkitError):
-    """The sampling budget ran out before the construction finished."""
+    """No certified sheet pair among the candidates: the cone oracle is not
+    a Segre cone."""
 
 
 class TrivialShape(ToolkitError):

@@ -11,8 +11,6 @@ be dug out of S alone:
   equals the span of the two sheets through v.  A tangent cache (a dict
   passed as `cache`) maps `tuple(v)` to T(v), so an anchor is eliminated
   once however many intersections it enters.
-* `tangent_equations(v)` is the reduced echelon basis of the row space of
-  `polar2_rows(v)`, one equation per independent linear condition.
 * `tangent_intersection(v, s)` restricts the polar rows of s to T(v):
   with K a basis of T(v), T(v) ∩ T(s) = K · kernel(polar2_rows(s) · K).
   Only the anchor v is eliminated in full; s costs a quadric-count by
@@ -20,24 +18,22 @@ be dug out of S alone:
   `cross_rays(v, s)` splits the intersection for two generic simple
   vectors: it is a plane whose trace on S is exactly two rational rays,
   one in each sheet through v.
-* `sheets_through(v)` takes the two cross rays g1, g2 of v and one random
-  sample; each sheet through v is then T(v) ∩ T(g_i), and the pair is
-  certified with `subspace_in_S` and one rank.  Its tangent cache holds
-  the one anchor v for the call.
+* `sheets_through(v)` needs no sample: a fixed candidate t of T(v) in
+  neither sheet splits into one ray g_i per sheet, each sheet is
+  T(v) ∩ T(g_i), and the pair is certified with `subspace_in_S` and one
+  rank.
 * `transport` carries vectors between two sheets of one foliation along
   the ray correspondence, normalized by a chosen pair of reference
   vectors; it is realized by square completion.
 
-Degenerate samples are always detected exactly (this is the payoff of
-rational arithmetic) and answered by resampling, never by tolerance
-tuning.
+Degenerate configurations are always detected exactly (this is the payoff
+of rational arithmetic): they raise Degenerate, or send `sheets_through`
+on to its next candidate, and no tolerance is ever tuned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from random import Random
 from typing import Sequence
 
 from untensor.errors import (
@@ -56,6 +52,8 @@ from untensor.linalg import (
     fraction_sqrt_exact,
     is_zero_vector,
     kernel,
+    linear_combination,
+    proportionality_ratio,
     ray_generator,
     vadd,
     vscale,
@@ -120,16 +118,6 @@ def _tangent_point(inst: TensorSpace, v: Sequence) -> Vector:
     return v
 
 
-def tangent_equations(inst: TensorSpace, v: Sequence) -> tuple[Vector, ...]:
-    """Reduced equations of the tangent space at a simple v.
-
-    The rows are the canonical echelon basis of the span of the quadric
-    linearizations w -> B_k(v, w); there are dim V - (m + n - 1) of them
-    (none for a trivial shape).
-    """
-    return Subspace.row_space(inst.polar2_rows(_tangent_point(inst, v))).basis.rows
-
-
 def tangent_space(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> Subspace:
     """Kernel of the quadric linearizations w -> B_k(v, w) at a simple v.
 
@@ -168,66 +156,66 @@ def same_sheet(inst: TensorSpace, x: Sequence, y: Sequence) -> bool:
     return inst.is_simple(vadd(tuple(x), tuple(y)))
 
 
-def _binary_form_roots(a, b2, c) -> tuple[tuple, tuple] | None:
-    """Distinct projective rational roots of A x^2 + B2 xy + C y^2.
-
-    Returns a pair of (x, y) tuples or None when the roots are absent,
-    coincident, or irrational.
-    """
-    if a == 0:
-        if b2 == 0:
-            return None
-        return ((1, 0), (-c, b2))
-    disc = b2 * b2 - 4 * a * c
-    if disc <= 0:
-        return None
-    root = fraction_sqrt_exact(Fraction(disc))
-    if root is None:
-        return None
-    return (((-b2 + root) / (2 * a), 1), ((-b2 - root) / (2 * a), 1))
-
-
-def cross_rays(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None = None) -> tuple[Vector, Vector]:
-    """The two rays where the tangent planes of v and s pierce S, as their
-    canonical generators (first nonzero coordinate 1) in sorted order.
-
-    For generic simple v and s the intersection D of their tangent spaces
-    is a plane, every quadric restricted to D is a multiple of one binary
-    quadratic, and that quadratic splits into two distinct rational rays.
-    Any other outcome raises Degenerate and the caller resamples.
-    """
-    plane = tangent_intersection(inst, v, s, cache)
-    if plane.dim != 2:
-        raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
-    d1, d2 = plane.basis.rows
+def _split_rays(inst: TensorSpace, d1: Vector, d2: Vector) -> tuple[Vector, Vector]:
+    """The two rays of S in span{d1, d2}, as sorted canonical generators
+    (first nonzero coordinate 1).  Every quadric restricted to the plane
+    must be a multiple of one binary quadratic A x^2 + B2 xy + C y^2 with
+    two distinct rational roots; anything else raises Degenerate."""
     forms = [f for f in inst.binary_restriction(d1, d2) if any(x != 0 for x in f)]
     if not forms:
-        raise Degenerate("every quadric vanishes on the intersection plane")
-    a0, b0, c0 = forms[0]
+        raise Degenerate("every quadric vanishes on the plane")
+    a, b2, c = forms[0]
     for a1, b1, c1 in forms[1:]:
-        if a0 * b1 != a1 * b0 or a0 * c1 != a1 * c0 or b0 * c1 != b1 * c0:
+        if a * b1 != a1 * b2 or a * c1 != a1 * c or b2 * c1 != b1 * c:
             raise Degenerate("restricted quadrics are not proportional")
-    roots = _binary_form_roots(a0, b0, c0)
-    if roots is None:
+    disc = b2 * b2 - 4 * a * c
+    root = fraction_sqrt_exact(disc) if disc > 0 else None
+    if a != 0 and root is not None:
+        roots = (((-b2 + root) / (2 * a), 1), ((-b2 - root) / (2 * a), 1))
+    elif a == 0 and b2 != 0:
+        roots = ((1, 0), (-c, b2))
+    else:
         raise Degenerate("restricted quadric does not split over the rationals")
     g1, g2 = sorted(ray_generator(vadd(vscale(x, d1), vscale(y, d2))) for x, y in roots)
     return (g1, g2)
 
 
-def sheets_through(inst: TensorSpace, v: Sequence, rng: Random) -> SheetPair:
-    """Both maximal linear subspaces of S through the simple vector v.
+def cross_rays(inst: TensorSpace, v: Sequence, s: Sequence) -> tuple[Vector, Vector]:
+    """The two rays where the tangent planes of v and s pierce S, split by
+    `_split_rays`.  For generic simple v and s, T(v) ∩ T(s) is a plane
+    whose trace on S is one rational ray in each sheet through v; any
+    other outcome raises Degenerate.
+    """
+    plane = tangent_intersection(inst, v, s)
+    if plane.dim != 2:
+        raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
+    return _split_rays(inst, *plane.basis.rows)
 
-    A random sample s gives the two cross rays g1, g2 of v and s, one in
-    each sheet through v.  Since T(v) is the span of those two sheets and
-    sheets of different foliations meet in a ray, T(v) ∩ T(g) is exactly the
-    sheet through v that holds g.  The pair is accepted when its dimensions
-    satisfy d1 * d2 == dim V and d1 + d2 == m + n, both sheets pass
-    `subspace_in_S`, and they meet in a ray; otherwise (for instance when a
-    cross ray is the ray of v, whose intersection is all of T(v)) the next
-    sample is drawn.  Given d1 + d2 == dim T(v) + 1, meeting in a ray is
-    the same as spanning T(v), which one rank of the stacked bases decides.
-    The tangent cache lives for this one call and holds T(v) only, which
-    every intersection restricts to.
+
+def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
+    """Both maximal linear subspaces of S through the simple vector v, read
+    off T(v) alone.
+
+    On T(v) = W1 + W2 every quadric is bilinear across the two sheets:
+    Q(x + y + c v) = 2B(x, y) for x in W1 and y in W2, since Q vanishes on
+    each sheet and B(v, .) on T(v).  So for a t = x + y + c v in neither
+    sheet, T(v) ∩ ker polar2_rows(t) is the plane span(v, x - y); with u
+    any vector of it off the ray of v, every quadric on span(t, u) is a
+    multiple of (a + μb)(a - μb), and the two rational roots give a ray
+    g_i in each sheet.  T(v) ∩ T(g_i) is then the sheet that holds g_i.
+
+    The candidates are t_i = K·(1, i, i², …, i^(D-1)) for i = 1 … D + 2,
+    with K the canonical basis of T(v) and D = dim T(v) = m + n - 1.  Any
+    D of their coefficient vectors are independent (Vandermonde), so at
+    most m candidates lie in W1 and at most n in W2: one of the D + 2
+    lies in neither.  A candidate whose meet is not a plane, or whose
+    plane does not split, is skipped.
+
+    A pair is accepted when d1 * d2 == dim V, d1 + d2 == D + 1, both
+    sheets pass `subspace_in_S`, and the stacked bases have rank D (given
+    the sum, the same as meeting in a ray).  Only an oracle that is not a
+    Segre cone gets past the last candidate; then RetryExhausted is
+    raised.  The call-local tangent cache holds T(v) only.
     """
     v = tuple(v)
     if inst.quadric_count == 0:
@@ -237,13 +225,16 @@ def sheets_through(inst: TensorSpace, v: Sequence, rng: Random) -> SheetPair:
     if not inst.is_simple(v):
         raise NotSimpleVector("sheets exist through simple vectors only")
     cache: dict = {}
-    tangent_dim = tangent_space(inst, v, cache).dim
-    # tangent_dim + 1 == m + n, read off the cone instead of the hidden shape.
-    budget = 64 * (tangent_dim + 1)
-    for _ in range(budget):
-        sample = inst.sample_simple(rng)
+    anchor = tangent_space(inst, v, cache)
+    tangent_dim = anchor.dim
+    for i in range(1, tangent_dim + 3):
+        t = linear_combination(anchor.basis.rows, [i**j for j in range(tangent_dim)])
+        meet = anchor.meet_kernel(inst.polar2_rows(t))
+        if meet.dim != 2:
+            continue
+        u = next(r for r in meet.basis.rows if proportionality_ratio(v, r) is None)
         try:
-            rays = cross_rays(inst, v, sample, cache)
+            rays = _split_rays(inst, t, u)
         except Degenerate:
             continue
         first, second = (tangent_intersection(inst, v, g, cache) for g in rays)
@@ -256,7 +247,7 @@ def sheets_through(inst: TensorSpace, v: Sequence, rng: Random) -> SheetPair:
         ):
             ordered = sorted((first, second), key=lambda s: (-s.dim, s.basis.rows))
             return SheetPair(first=Sheet(ordered[0]), second=Sheet(ordered[1]))
-    raise RetryExhausted(f"no certified sheet pair within {budget} samples")
+    raise RetryExhausted(f"no certified sheet pair among {tangent_dim + 2} candidates")
 
 
 def same_foliation(inst: TensorSpace, m: Sheet, n: Sheet) -> bool:

@@ -547,11 +547,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls._reduced(Matrix.identity(ambient_dim))
 
-    @classmethod
-    def row_space(cls, m: Matrix) -> "Subspace":
-        """The span of the rows of m, eliminated from its integer rows."""
-        return cls._reduced(_row_echelon(m._elimination_rows(), m.ncols))
-
     @property
     def dim(self) -> int:
         return self.basis.nrows

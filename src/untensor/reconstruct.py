@@ -262,7 +262,7 @@ def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) 
     """Recover the factor pair through a base point.
 
     A missing w0 falls back to the instance's base point, then to a fresh
-    sample.  Shapes with a one-dimensional factor have no quadrics at all
+    sample, the only draw from rng.  Shapes with a one-dimensional factor have no quadrics at all
     (the cone is the whole space); there the first factor is V itself and
     the second is the ray of w0.
     """
@@ -278,7 +278,7 @@ def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) 
         ray = Subspace([w0], inst.dim)
         pair = SheetPair(first=Sheet(full), second=Sheet(ray))
         return Reconstruction(inst, w0, pair)
-    return Reconstruction(inst, w0, sheets_through(inst, w0, rng))
+    return Reconstruction(inst, w0, sheets_through(inst, w0))
 
 
 # -- round-trip verification --------------------------------------------------

@@ -48,6 +48,29 @@ class TestGen:
         code, _ = run(capsys, "gen", "--m", "0", "--n", "2", "--seed", "1")
         assert code == 2
 
+    def test_shape_cap_exit_2_before_generating(self, capsys, monkeypatch):
+        import untensor.cli as cli_mod
+
+        class Generated(Exception):
+            pass
+
+        def generate(*args, **kwargs):
+            raise Generated
+
+        monkeypatch.setattr(cli_mod, "generate_instance", generate)
+        for argv in (
+            ["gen", "--m", "11", "--n", "10"],
+            ["gen", "--m", "100", "--n", "100", "--pointed"],
+            ["spin-demo", "--dims", "101x1"],
+            ["spin-demo", "--dims", "2x2,50x3"],
+        ):
+            assert run(capsys, *argv)[0] == 2
+        # m * n == 100 is allowed through to generation.
+        with pytest.raises(Generated):
+            main(["gen", "--m", "10", "--n", "10"])
+        with pytest.raises(Generated):
+            main(["spin-demo", "--dims", "100x1"])
+
     @pytest.mark.parametrize("bad", ["-1", "0"])
     def test_sampler_range_below_one_exit_2(self, capsys, bad):
         code, _ = run(capsys, "gen", "--m", "3", "--n", "2", "--seed", "1", "--sampler-range", bad, "--pointed")
@@ -124,12 +147,19 @@ class TestRecover:
         code, _ = run(capsys, "recover", str(bad))
         assert code == 2
 
+    def test_pointed_report_ignores_seed(self, tmp_path, capsys, instance_file):
+        a, b = tmp_path / "s1.json", tmp_path / "s2.json"
+        run(capsys, "recover", str(instance_file), "--seed", "1", "--out", str(a), "--quiet")
+        run(capsys, "recover", str(instance_file), "--seed", "2", "--out", str(b), "--quiet")
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["samples_used"] == 0
+
     def test_retry_exhausted_exit_3(self, capsys, monkeypatch, instance_file):
         import untensor.cli as cli_mod
         from untensor.errors import RetryExhausted
 
         def exhausted(*args, **kwargs):
-            raise RetryExhausted("sampling budget spent")
+            raise RetryExhausted("no certified sheet pair among the candidates")
 
         monkeypatch.setattr(cli_mod, "recover_factors", exhausted)
         code, _ = run(capsys, "recover", str(instance_file))
@@ -141,19 +171,19 @@ class TestRecover:
 _GOLDEN = {
     (2, 3, 1): (
         "72133e7e6c354423784634c05379c3e5726d1b11e908a0163651971bfe3d2db6",
-        {"lambda": "-100", "oracle_calls": 45, "samples_used": 1, "sheet_dims": [3, 2], "swap": True},
+        {"lambda": "-100", "oracle_calls": 44, "samples_used": 0, "sheet_dims": [3, 2], "swap": True},
     ),
     (3, 3, 1): (
         "9d7c61fd3dd7b8726fb4657173a857426a0e7c1314e389885f07d89009f0acea",
-        {"lambda": "-32", "oracle_calls": 60, "samples_used": 1, "sheet_dims": [3, 3], "swap": True},
+        {"lambda": "-32", "oracle_calls": 59, "samples_used": 0, "sheet_dims": [3, 3], "swap": True},
     ),
     (3, 4, 1): (
         "c09d5023e70fa05d53245dedb8dcb85c0c1595dd07f59ebf32d6ba95e988aea1",
-        {"lambda": "6", "oracle_calls": 76, "samples_used": 1, "sheet_dims": [4, 3], "swap": True},
+        {"lambda": "6", "oracle_calls": 75, "samples_used": 0, "sheet_dims": [4, 3], "swap": True},
     ),
     (3, 3, 2): (
         "273b683aa4679362c239bd90dd07ed6e92c5027fc610848858fbcbe3a15b247c",
-        {"lambda": "30", "oracle_calls": 60, "samples_used": 1, "sheet_dims": [3, 3], "swap": False},
+        {"lambda": "30", "oracle_calls": 59, "samples_used": 0, "sheet_dims": [3, 3], "swap": False},
     ),
     # Trivial shapes: the first sheet is all of V, the second the ray of w0.
     (1, 3, 1): (
@@ -168,7 +198,7 @@ _GOLDEN = {
     # the redraw from the same stream.
     (2, 2, 29): (
         "bd20e828313743be02e55a530f1bb3bffa1adbd5a074838d395f476361ca978f",
-        {"lambda": "-9", "oracle_calls": 34, "samples_used": 1, "sheet_dims": [2, 2], "swap": True},
+        {"lambda": "-9", "oracle_calls": 33, "samples_used": 0, "sheet_dims": [2, 2], "swap": True},
     ),
     (1, 1, 9): (
         "9dafeecb663c043344f02a35b1b256edcc3f734b4e65f7dd5fafcf743b8b81b6",
@@ -201,7 +231,7 @@ _GOLDEN_OUTPUTS = {
     ),
     ("props", "--suite", "all", "--trials", "2", "--seed", "3", "--inject-fault"): (
         1,
-        "4b0330bb185e0095d5fde16337008eb23dcb6e14a8fcca9d582dea9de0959888",
+        "dd57fb89a3ab15a80ffcfb99cbc4b8a9034df33c68c7319ffb4d423b3973ac53",
     ),
     ("naturality", "--trials", "3", "--seed", "4"): (
         0,

@@ -8,23 +8,25 @@ from untensor.errors import (
     Degenerate,
     MalformedSheets,
     NotSimpleVector,
+    RetryExhausted,
     TrivialShape,
     ZeroVector,
 )
 from untensor.foliation import (
     Sheet,
+    _split_rays,
     cross_rays,
     same_foliation,
     same_sheet,
     sheets_through,
     subspace_in_S,
-    tangent_equations,
     tangent_intersection,
     tangent_space,
     transport,
 )
-from untensor.linalg import Matrix, Subspace, kernel, vadd, vector, vscale
-from untensor.tensor_space import build_instance, generate_instance
+from untensor.linalg import Matrix, Subspace, kernel, proportionality_ratio, vadd, vector, vscale
+from untensor.reconstruct import recover_factors
+from untensor.tensor_space import build_instance, generate_instance, inject_quadric_fault
 
 
 @pytest.fixture
@@ -94,21 +96,9 @@ class TestTangentSpace:
         with pytest.raises(NotSimpleVector):
             tangent_space(ident22, (1, 0, 0, 1))
 
-
-class TestTangentEquations:
-    def test_trivial_shape_has_no_equations(self):
+    def test_trivial_shape_is_the_whole_space(self):
         inst = generate_instance((1, 4), 3)
-        v = inst.sample_simple(Random(0))
-        assert tangent_equations(inst, v) == ()
-        assert tangent_space(inst, v) == Subspace.full(4)
-
-    def test_equations_cut_out_the_tangent_space(self):
-        inst = generate_instance((3, 4), 8)
-        v = inst.sample_simple(Random(4))
-        equations = tangent_equations(inst, v)
-        assert equations == Subspace(inst.polar2_rows(v).rows, inst.dim).basis.rows
-        assert len(equations) == inst.dim - (3 + 4 - 1)
-        assert kernel(Matrix(equations, inst.dim)) == tangent_space(inst, v)
+        assert tangent_space(inst, inst.sample_simple(Random(0))) == Subspace.full(4)
 
 
 def stacked_meet(inst, v, s):
@@ -241,78 +231,107 @@ class TestSameSheet:
         assert same_sheet(inst, x, vscale(-1, x))
 
 
+def no_samples(rng):
+    raise AssertionError("sheet discovery drew a sample")
+
+
+def first_candidate_rays(inst, v):
+    """The rays that the first candidate t = K·(1, 1, …, 1) of T(v) splits into."""
+    anchor = tangent_space(inst, v)
+    t = tuple(sum(column) for column in zip(*anchor.basis.rows))
+    meet = anchor.meet_kernel(inst.polar2_rows(t))
+    assert meet.dim == 2
+    (u, *_) = [r for r in meet.basis.rows if proportionality_ratio(v, r) is None]
+    return _split_rays(inst, t, u)
+
+
 class TestSheetsThrough:
     def test_hand_example(self, ident22):
-        pair = sheets_through(ident22, (1, 0, 0, 0), Random(0))
+        pair = sheets_through(ident22, (1, 0, 0, 0))
         row_sheet = Subspace([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
         col_sheet = Subspace([(1, 0, 0, 0), (0, 1, 0, 0)], 4)
         assert pair.first.subspace == row_sheet
         assert pair.second.subspace == col_sheet
 
     def test_matches_hidden_sheets(self):
-        inst = generate_instance((4, 3), 8)
-        alpha, beta = (1, 0, 2, -1), (2, 1, 1)
-        w0 = inst.embed_simple(alpha, beta)
-        pair = sheets_through(inst, w0, Random(1))
-        expected = {
-            hidden_sheet(inst, beta=beta).subspace,
-            hidden_sheet(inst, alpha=alpha).subspace,
-        }
-        assert set(pair.subspaces()) == expected
-        assert pair.dims == (4, 3)
+        for shape, alpha, beta in [
+            ((4, 3), (1, 0, 2, -1), (2, 1, 1)),
+            ((2, 5), (3, -1), (1, 0, 2, -1, 1)),
+            ((5, 2), (0, 1, 1, -2, 3), (2, -1)),
+            ((4, 4), (1, 2, 0, -1), (0, 3, 1, 1)),
+        ]:
+            inst = generate_instance(shape, 8)
+            w0 = inst.embed_simple(alpha, beta)
+            pair = sheets_through(inst, w0)
+            expected = {
+                hidden_sheet(inst, beta=beta).subspace,
+                hidden_sheet(inst, alpha=alpha).subspace,
+            }
+            assert set(pair.subspaces()) == expected, shape
+            assert pair.dims == tuple(sorted(shape, reverse=True)), shape
 
     def test_seed_independent_result(self):
-        inst = generate_instance((3, 3), 9)
-        w0 = inst.embed_simple((1, 1, 2), (0, 1, 3))
-        a = sheets_through(inst, w0, Random(10))
-        b = sheets_through(inst, w0, Random(999))
-        assert a.subspaces() == b.subspaces()
+        # A pointed recovery never samples, so its rng does not matter.
+        inst = generate_instance((3, 3), 9, pointed=True)
+        inst.sample_simple = no_samples
+        a = recover_factors(inst, Random(10))
+        b = recover_factors(inst, Random(999))
+        assert a.pair == b.pair == sheets_through(inst, inst.base_point)
+        assert inst.stats.samples == 0
 
     def test_intersection_is_base_ray(self):
         inst = generate_instance((3, 4), 12)
-        rng = Random(4)
-        w0 = inst.sample_simple(rng)
-        pair = sheets_through(inst, w0, rng)
+        w0 = inst.sample_simple(Random(4))
+        pair = sheets_through(inst, w0)
         meet = pair.first.subspace.intersect(pair.second.subspace)
         assert meet == Subspace([w0], inst.dim)
 
     def test_trivial_shape_rejected(self):
         inst = generate_instance((1, 4), 13)
         with pytest.raises(TrivialShape):
-            sheets_through(inst, inst.sample_simple(Random(0)), Random(1))
+            sheets_through(inst, inst.sample_simple(Random(0)))
 
     def test_budget_exhaustion(self):
-        from untensor.errors import RetryExhausted
-
-        inst = generate_instance((2, 2), 13)
-        w0 = inst.sample_simple(Random(5))
-        draws = []
-
-        def multiples_of_w0(rng):
-            # every tangent intersection with a multiple of w0 is all of T(w0)
-            draws.append(rng)
-            return vscale(len(draws), w0)
-
-        inst.sample_simple = multiples_of_w0
+        # The budget is the D + 2 fixed candidates.  With one minor's sign
+        # flipped the cone is no longer a Segre cone, though it still accepts
+        # this base point, and every candidate is refused.
+        inst = inject_quadric_fault(generate_instance((3, 3), 5), 0)
+        w0 = inst.embed_simple((1, 0, 0), (1, 2, 3))
+        assert inst.is_simple(w0)
+        inst.sample_simple = no_samples
         with pytest.raises(RetryExhausted):
-            sheets_through(inst, w0, Random(6))
-        assert len(draws) == 64 * (2 + 2)
+            sheets_through(inst, w0)
+        assert inst.stats.samples == 0
+
+    def test_base_point_candidate_is_skipped(self, ident22):
+        # w0 = (1,1)⊗(1,1); the echelon basis of T(w0) sums to w0 itself.
+        w0 = (1, 1, 1, 1)
+        anchor = tangent_space(ident22, w0)
+        assert anchor.meet_kernel(ident22.polar2_rows(w0)) == anchor
+        fetched = []
+        polar2_rows = ident22.polar2_rows
+
+        def recording(v):
+            fetched.append(tuple(v))
+            return polar2_rows(v)
+
+        ident22.polar2_rows = recording
+        pair = sheets_through(ident22, w0)
+        # T(w0), then candidate 1 = w0, whose meet is all of T(w0), then candidate 2 and its two rays.
+        assert fetched[:3] == [w0, w0, (1, 2, 4, 5)] and len(fetched) == 5
+        expected = {
+            hidden_sheet(ident22, beta=(1, 1)).subspace,
+            hidden_sheet(ident22, alpha=(1, 1)).subspace,
+        }
+        assert set(pair.subspaces()) == expected
 
     @pytest.mark.parametrize("shape, seed", [((3, 3), 21), ((3, 4), 22), ((4, 4), 23)])
-    def test_one_sample_gives_two_tangent_intersections(self, shape, seed):
+    def test_one_candidate_gives_two_tangent_intersections(self, shape, seed):
         inst = generate_instance(shape, seed, pointed=True)
         v = inst.base_point
-        draw = inst.sample_simple
-        samples = []
-
-        def recording(rng):
-            samples.append(draw(rng))
-            return samples[-1]
-
-        inst.sample_simple = recording
-        pair = sheets_through(inst, v, Random(seed))
-        assert len(samples) == 1
-        rays = cross_rays(inst, v, samples[0])
+        inst.sample_simple = no_samples
+        pair = sheets_through(inst, v)
+        rays = first_candidate_rays(inst, v)
         for sheet in (pair.first, pair.second):
             (g,) = [g for g in rays if sheet.contains(g)]
             assert sheet.subspace == tangent_intersection(inst, v, g)
@@ -327,7 +346,7 @@ class TestSameFoliation:
     def test_pair_members_cross(self):
         inst = generate_instance((3, 3), 14)
         w0 = inst.embed_simple((1, 0, 1), (2, 1, 0))
-        pair = sheets_through(inst, w0, Random(2))
+        pair = sheets_through(inst, w0)
         assert not same_foliation(inst, pair.first, pair.second)
 
     def test_disjoint_same_family(self):
