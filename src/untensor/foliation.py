@@ -8,20 +8,19 @@ be dug out of S alone:
 
 * `tangent_space(v)` linearizes the quadrics at v: T(v) is the kernel of
   `polar2_rows(v)`, one elimination.  It has dimension m + n - 1 and
-  equals the span of the two sheets through v.  A tangent cache (a dict
-  passed as `cache`) maps `tuple(v)` to T(v), so an anchor is eliminated
-  once however many intersections it enters.
+  equals the span of the two sheets through v.  It is a plain `Subspace`:
+  a caller that meets it with several partners holds on to it.
 * `tangent_intersection(v, s)` restricts the polar rows of s to T(v):
-  with K a basis of T(v), T(v) ∩ T(s) = K · kernel(polar2_rows(s) · K).
-  Only the anchor v is eliminated in full; s costs a quadric-count by
-  (m + n - 1) system and is neither eliminated in full nor cached.
+  with K a basis of T(v), T(v) ∩ T(s) = K · kernel(polar2_rows(s) · K)
+  (`Subspace.meet_kernel`).  Only the anchor v is eliminated in full; s
+  costs a quadric-count by (m + n - 1) system.
   `cross_rays(v, s)` splits the intersection for two generic simple
   vectors: it is a plane whose trace on S is exactly two rational rays,
   one in each sheet through v.
 * `sheets_through(v)` needs no sample: a fixed candidate t of T(v) in
   neither sheet splits into one ray g_i per sheet, each sheet is
-  T(v) ∩ T(g_i), and the pair is certified with `subspace_in_S` and one
-  rank.
+  T(v) ∩ T(g_i) with T(v) taken once, and the pair is certified with
+  `subspace_in_S` and one rank.
 * `transport` carries vectors between two sheets of one foliation along
   the ray correspondence, normalized by a chosen pair of reference
   vectors; it is realized by square completion.
@@ -118,32 +117,23 @@ def _tangent_point(inst: TensorSpace, v: Sequence) -> Vector:
     return v
 
 
-def tangent_space(inst: TensorSpace, v: Sequence, cache: dict | None = None) -> Subspace:
+def tangent_space(inst: TensorSpace, v: Sequence) -> Subspace:
     """Kernel of the quadric linearizations w -> B_k(v, w) at a simple v.
 
     Contains both sheets through v; dimension m + n - 1 (for a trivial
     shape the quadric list is empty and the tangent space is all of V,
-    which agrees with the formula).  `cache` keeps it under tuple(v).
+    which agrees with the formula).
     """
-    key = tuple(v)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    out = kernel(inst.polar2_rows(_tangent_point(inst, key)))
-    if cache is not None:
-        cache[key] = out
-    return out
+    return kernel(inst.polar2_rows(_tangent_point(inst, v)))
 
 
-def tangent_intersection(inst: TensorSpace, v: Sequence, s: Sequence, cache: dict | None = None) -> Subspace:
+def tangent_intersection(inst: TensorSpace, v: Sequence, s: Sequence) -> Subspace:
     """T(v) ∩ T(s): the vectors of T(v) on which the polar rows of s vanish.
 
-    T(v) comes from `tangent_space` and its cache; s is checked like any
-    tangent point, but its polar rows are only restricted to T(v).
+    Both v and s are checked like any tangent point, but the polar rows
+    of s are only restricted to T(v).
     """
-    anchor = tangent_space(inst, v, cache)
-    return anchor.meet_kernel(inst.polar2_rows(_tangent_point(inst, s)))
+    return tangent_space(inst, v).meet_kernel(inst.polar2_rows(_tangent_point(inst, s)))
 
 
 def same_sheet(inst: TensorSpace, x: Sequence, y: Sequence) -> bool:
@@ -215,17 +205,15 @@ def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
     sheets pass `subspace_in_S`, and the stacked bases have rank D (given
     the sum, the same as meeting in a ray).  Only an oracle that is not a
     Segre cone gets past the last candidate; then RetryExhausted is
-    raised.  The call-local tangent cache holds T(v) only.
+    raised.
+
+    `tangent_space` makes the only check that v is nonzero and simple.  The
+    rays g_i need none: `_split_rays` roots restricted forms it has checked
+    to be proportional, so every quadric vanishes on them exactly.
     """
-    v = tuple(v)
     if inst.quadric_count == 0:
         raise TrivialShape("foliation discovery needs both factors of dimension >= 2")
-    if is_zero_vector(v):
-        raise ZeroVector("sheets are anchored at a nonzero vector")
-    if not inst.is_simple(v):
-        raise NotSimpleVector("sheets exist through simple vectors only")
-    cache: dict = {}
-    anchor = tangent_space(inst, v, cache)
+    anchor = tangent_space(inst, v)
     tangent_dim = anchor.dim
     for i in range(1, tangent_dim + 3):
         t = linear_combination(anchor.basis.rows, [i**j for j in range(tangent_dim)])
@@ -237,7 +225,7 @@ def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
             rays = _split_rays(inst, t, u)
         except Degenerate:
             continue
-        first, second = (tangent_intersection(inst, v, g, cache) for g in rays)
+        first, second = (anchor.meet_kernel(inst.polar2_rows(g)) for g in rays)
         if (
             first.dim * second.dim == inst.dim
             and first.dim + second.dim == tangent_dim + 1

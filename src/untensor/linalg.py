@@ -153,7 +153,7 @@ def proportionality_ratio(base: Vector, candidate: Vector) -> Fraction | None:
     lead = first_nonzero_index(base)
     if lead is None:
         raise ValueError("base vector must be nonzero")
-    t = candidate[lead] / base[lead]
+    t = frac(candidate[lead]) / base[lead]
     if all(c == t * b for b, c in zip(base, candidate)):
         return t
     return None
@@ -211,10 +211,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._trusted(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls._trusted(tuple((ZERO,) * ncols for _ in range(nrows)), ncols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
@@ -551,9 +547,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return self.basis.rows
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -644,7 +637,7 @@ def ray_generator(v: Sequence[Fraction]) -> Vector:
     lead = first_nonzero_index(v)
     if lead is None:
         raise ValueError("a ray needs a nonzero vector")
-    return vscale(1 / v[lead], v)
+    return vscale(ONE / v[lead], v)
 
 
 def integer_sqrt_exact(n: int) -> int | None:

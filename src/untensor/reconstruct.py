@@ -88,7 +88,6 @@ class Reconstruction:
         self.pair = pair
         self.basis_e = tuple(tuple(v) for v in basis_e) if basis_e else pair.first.subspace.basis.rows
         self.basis_f = tuple(tuple(v) for v in basis_f) if basis_f else pair.second.subspace.basis.rows
-        self._cache: dict = {}
         self._phi: Matrix | None = None
         self._phi_inv: Matrix | None = None
 
@@ -130,7 +129,7 @@ class Reconstruction:
             raise MembershipViolated("second argument is outside the second sheet")
         if is_zero_vector(w1) or is_zero_vector(w2):
             return vzero(self.inst.dim)
-        return complete_square(self.inst, self.w0, w2, w1, cache=self._cache)
+        return complete_square(self.inst, self.w0, w2, w1)
 
     @property
     def product_matrix(self) -> Matrix:
@@ -147,7 +146,7 @@ class Reconstruction:
             columns = [
                 generic[j, k]
                 if (j, k) in generic
-                else complete_square(self.inst, self.w0, f, e, cache=self._cache)
+                else complete_square(self.inst, self.w0, f, e)
                 for j, e in enumerate(self.basis_e)
                 for k, f in enumerate(self.basis_f)
             ]
@@ -262,23 +261,21 @@ def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) 
     """Recover the factor pair through a base point.
 
     A missing w0 falls back to the instance's base point, then to a fresh
-    sample, the only draw from rng.  Shapes with a one-dimensional factor have no quadrics at all
-    (the cone is the whole space); there the first factor is V itself and
-    the second is the ray of w0.
+    sample, the only draw from rng.  `sheets_through` checks through
+    `tangent_space` that w0 is nonzero and simple, once.  Shapes with a
+    one-dimensional factor have no quadrics at all (the cone is the whole
+    space, so every vector is simple); there the first factor is V itself
+    and the second is the ray of w0, which must be nonzero.
     """
     if w0 is None:
         w0 = inst.base_point if inst.base_point is not None else inst.sample_simple(rng)
     w0 = tuple(w0)
+    if inst.quadric_count:
+        return Reconstruction(inst, w0, sheets_through(inst, w0))
     if is_zero_vector(w0):
         raise ZeroVector("the base point must be nonzero")
-    if not inst.is_simple(w0):
-        raise NotSimpleVector("the base point must be simple")
-    if inst.quadric_count == 0:
-        full = Subspace.full(inst.dim)
-        ray = Subspace([w0], inst.dim)
-        pair = SheetPair(first=Sheet(full), second=Sheet(ray))
-        return Reconstruction(inst, w0, pair)
-    return Reconstruction(inst, w0, sheets_through(inst, w0))
+    pair = SheetPair(first=Sheet(Subspace.full(inst.dim)), second=Sheet(Subspace([w0], inst.dim)))
+    return Reconstruction(inst, w0, pair)
 
 
 # -- round-trip verification --------------------------------------------------

@@ -104,9 +104,7 @@ def is_square(inst: TensorSpace, sq: Square) -> bool:
     )
 
 
-def complete_square_details(
-    inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence, *, cache: dict | None = None
-) -> Completion:
+def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence) -> Completion:
     """The unique d making ((a, b), (c, d)) a square, with diagnostics.
 
     Generic path: the tangent spaces of b and c meet in a plane that must
@@ -121,7 +119,7 @@ def complete_square_details(
     A plane of dimension other than 2, quadrics that all vanish on it, a
     double root at a, or quadrics disagreeing on x raise Degenerate; a
     plane missing a raises PreconditionViolated.  b is the anchor of the
-    plane, so `cache` keeps T(b) and c is only restricted to it.
+    plane, so c is only restricted to T(b).
     """
     a = tuple(a)
     b = tuple(b)
@@ -149,7 +147,7 @@ def complete_square_details(
         raise PreconditionViolated("a must share a sheet with b and with c")
     if same_sheet(inst, b, c):
         raise PreconditionViolated("b and c lie across the square and must not share a sheet")
-    plane = tangent_intersection(inst, b, c, cache)
+    plane = tangent_intersection(inst, b, c)
     if plane.dim != 2:
         raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
     if not plane.contains(a):
@@ -198,8 +196,6 @@ def common_root(constants: Sequence[Fraction], slopes: Sequence[Fraction]) -> Fr
     return t
 
 
-def complete_square(
-    inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence, *, cache: dict | None = None
-) -> Vector:
+def complete_square(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence) -> Vector:
     """The unique fourth corner; see `complete_square_details`."""
-    return complete_square_details(inst, a, b, c, cache=cache).d
+    return complete_square_details(inst, a, b, c).d

@@ -248,8 +248,12 @@ class TensorSpace:
 
         u / q are the hidden coordinates of v scaled by det(scramble).  The
         integer adjugate rows make this cheap enough to recompute on every
-        query, so no per-instance cache of unscrambled vectors is kept.
+        query, so no per-instance cache of unscrambled vectors is kept.  Every
+        query passes here first, so a vector of the wrong length is refused
+        here, before it counts as an oracle call.
         """
+        if len(v) != self.dim:
+            raise DimensionMismatch.of(self.dim, len(v))
         ints, den = to_integers(v)
         return [sum(map(mul, row, ints)) for row in self._adj_rows], den * self._adj_den
 
@@ -266,10 +270,8 @@ class TensorSpace:
 
     def minor_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """All quadric values at v, scaled by the fixed constant det^2."""
-        if len(v) != self.dim:
-            raise DimensionMismatch.of(self.dim, len(v))
-        self.stats.oracle_calls += 1
         u, q = self._scaled_hidden(v)
+        self.stats.oracle_calls += 1
         return from_integers([x // 2 for x in self._polar2(u, u)], q * q)
 
     def quadric_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -278,17 +280,15 @@ class TensorSpace:
 
     def is_simple(self, v: Sequence[Fraction]) -> bool:
         """Whether v lies on the common zero locus of all the quadrics."""
-        if len(v) != self.dim:
-            raise DimensionMismatch.of(self.dim, len(v))
-        self.stats.oracle_calls += 1
         u, _ = self._scaled_hidden(v)
+        self.stats.oracle_calls += 1
         return not any(self._polar2(u, u))
 
     def polar2_values(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """2*B_k(x, y) for every quadric, scaled by det^2."""
-        self.stats.oracle_calls += 1
         u, qu = self._scaled_hidden(x)
         w, qw = self._scaled_hidden(y)
+        self.stats.oracle_calls += 1
         return from_integers(list(self._polar2(u, w)), qu * qw)
 
     def polar2_rows(self, v: Sequence[Fraction]) -> Matrix:
@@ -300,8 +300,8 @@ class TensorSpace:
         adjugate rows.  Rows share the det^2 scale, so kernels and solution
         ratios agree with the exact polarizations.
         """
-        self.stats.oracle_calls += 1
         u, q = self._scaled_hidden(v)
+        self.stats.oracle_calls += 1
         adj = self._adj_rows
         rows = []
         for a, b, c, d, sign in self._minors:
@@ -316,9 +316,9 @@ class TensorSpace:
     ) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """Each quadric restricted to span{d1, d2} as (A, B2, C) with
         Q(x d1 + y d2) proportional to A x^2 + B2 xy + C y^2."""
-        self.stats.oracle_calls += 1
         u, qu = self._scaled_hidden(d1)
         w, qw = self._scaled_hidden(d2)
+        self.stats.oracle_calls += 1
         return tuple(
             (Fraction(qa // 2, qu * qu), Fraction(qb, qu * qw), Fraction(qc // 2, qw * qw))
             for qa, qb, qc in zip(self._polar2(u, u), self._polar2(u, w), self._polar2(w, w))
@@ -422,18 +422,6 @@ def build_instance(
     if scramble is None:
         scramble = Matrix.identity(shape.dim)
     return TensorSpace(shape, scramble, base_factors=base_factors, seed=seed, sampler_range=sampler_range)
-
-
-def with_base_factors(inst: TensorSpace, alpha: Sequence, beta: Sequence) -> TensorSpace:
-    """A copy of inst sharing the scramble, pointed at alpha x beta."""
-    return TensorSpace(
-        inst.shape,
-        inst.scramble,
-        base_factors=(vector(alpha), vector(beta)),
-        seed=inst.seed,
-        sampler_range=inst.sampler_range,
-        _fault_index=inst._fault_index,
-    )
 
 
 def inject_quadric_fault(inst: TensorSpace, index: int = 0) -> TensorSpace:

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from untensor import linalg
+from untensor import foliation, linalg
 from untensor.errors import (
     Degenerate,
     MalformedSheets,
@@ -107,24 +107,21 @@ def stacked_meet(inst, v, s):
 
 
 class TestTangentIntersection:
-    def test_cache_holds_the_anchor_tangent_space(self):
+    def test_meet_of_the_anchor_tangent_space(self):
         inst = generate_instance((3, 4), 8)
         rng = Random(4)
         v, s = inst.sample_simple(rng), inst.sample_simple(rng)
-        cache = {}
-        meet = tangent_intersection(inst, v, s, cache)
-        assert set(cache) == {v}
-        assert cache[v] == tangent_space(inst, v) == kernel(inst.polar2_rows(v))
-        assert cache[v].dim == 3 + 4 - 1
+        anchor = tangent_space(inst, v)
+        assert anchor == kernel(inst.polar2_rows(v))
+        assert anchor.dim == 3 + 4 - 1
+        meet = tangent_intersection(inst, v, s)
         assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
 
-    def test_cached_anchor_costs_only_the_new_vector(self, monkeypatch):
+    def test_only_the_anchor_is_eliminated_in_full(self, monkeypatch):
         inst = generate_instance((3, 3), 9)
         rng = Random(5)
         v, s = inst.sample_simple(rng), inst.sample_simple(rng)
-        cache = {}
-        first = tangent_intersection(inst, v, s, cache)
-        anchor = cache[v]
+        dim = tangent_space(inst, v).dim
         queries, eliminated = [], []
 
         def recording(name, method):
@@ -144,14 +141,13 @@ class TestTangentIntersection:
 
         monkeypatch.setattr(linalg, "_eliminate", counted)
         calls = inst.stats.oracle_calls
-        assert tangent_intersection(inst, v, s, cache) == first
-        # s is checked and its polar rows are read; v is neither queried nor eliminated again,
-        # and the one elimination is the restricted system, one column per basis vector of T(v).
-        assert queries == [("is_simple", s), ("polar2_rows", s)]
-        assert inst.stats.oracle_calls == calls + 2
-        assert eliminated == [anchor.dim]
-        assert set(cache) == {v} and cache[v] is anchor
-        assert first == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
+        meet = tangent_intersection(inst, v, s)
+        # Both points are checked and their polar rows read.  The rows of v are eliminated in
+        # full; those of s only in the restricted system, one column per basis vector of T(v).
+        assert queries == [("is_simple", v), ("polar2_rows", v), ("is_simple", s), ("polar2_rows", s)]
+        assert inst.stats.oracle_calls == calls + 4
+        assert eliminated == [inst.dim, dim]
+        assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])
     def test_restricted_meet_equals_stacked_kernels(self, shape):
@@ -324,6 +320,47 @@ class TestSheetsThrough:
             hidden_sheet(ident22, alpha=(1, 1)).subspace,
         }
         assert set(pair.subspaces()) == expected
+
+    def test_pointed_recovery_checks_w0_once_and_restricts_the_rays(self, monkeypatch):
+        inst = generate_instance((3, 3), 9, pointed=True)
+        w0 = inst.base_point
+        asked, fetched, full, restricted = [], [], [], []
+        is_simple, polar2_rows, meet_kernel = inst.is_simple, inst.polar2_rows, Subspace.meet_kernel
+
+        def point_of(rows):
+            return next(v for m, v in fetched if m is rows)
+
+        def recording_is_simple(v):
+            asked.append(tuple(v))
+            return is_simple(v)
+
+        def recording_rows(v):
+            fetched.append((polar2_rows(v), tuple(v)))
+            return fetched[-1][0]
+
+        def recording_kernel(m):
+            full.append(point_of(m))
+            return kernel(m)
+
+        def recording_meet(sub, m):
+            restricted.append((point_of(m), sub.dim))
+            return meet_kernel(sub, m)
+
+        monkeypatch.setattr(inst, "is_simple", recording_is_simple)
+        monkeypatch.setattr(inst, "polar2_rows", recording_rows)
+        monkeypatch.setattr(foliation, "kernel", recording_kernel)
+        monkeypatch.setattr(Subspace, "meet_kernel", recording_meet)
+        recon = recover_factors(inst, Random(0))
+        # is_simple is asked once, about w0 and never about a ray; polar2_rows(w0) is the only
+        # full elimination; every other fetch, the two rays included, is restricted to T(w0).
+        assert asked == [w0]
+        assert full == [w0]
+        assert [v for _, v in fetched].count(w0) == 1
+        assert {v for v, _ in restricted} == {v for _, v in fetched} - {w0}
+        assert {dim for _, dim in restricted} == {3 + 3 - 1}
+        for sheet in (recon.sheet_w1, recon.sheet_w2):
+            (g,) = [g for g, _ in restricted[-2:] if sheet.contains(g)]
+            assert sheet.subspace == tangent_intersection(inst, w0, g)
 
     @pytest.mark.parametrize("shape, seed", [((3, 3), 21), ((3, 4), 22), ((4, 4), 23)])
     def test_one_candidate_gives_two_tangent_intersections(self, shape, seed):

@@ -186,7 +186,7 @@ class TestIntegerCoreAgainstReference:
         equations = kernel(sub.basis).basis.rows + m.rows
         assert meet == kernel(Matrix(equations, a.ncols))
         assert meet.basis == Subspace(meet.basis.rows, a.ncols).basis
-        assert all(sub.contains(v) and not any(m.apply(v)) for v in meet.basis_vectors())
+        assert all(sub.contains(v) and not any(m.apply(v)) for v in meet.basis.rows)
 
     @given(
         st.lists(st.lists(small_ints, min_size=3, max_size=3), max_size=4),
@@ -208,7 +208,7 @@ class TestIntegerCoreAgainstReference:
         b = data.draw(rational_matrices(ncols=a.ncols))
         sa, sb = Subspace(a.rows, a.ncols), Subspace(b.rows, b.ncols)
         meet = sa.intersect(sb)
-        assert all(sa.contains(v) and sb.contains(v) for v in meet.basis_vectors())
+        assert all(sa.contains(v) and sb.contains(v) for v in meet.basis.rows)
         assert meet.dim == sa.dim + sb.dim - sa.add(sb).dim
 
 
@@ -238,7 +238,7 @@ class TestRref:
 
 class TestKernel:
     def test_zero_matrix(self):
-        assert kernel(Matrix.zeros(3, 3)) == Subspace.full(3)
+        assert kernel(Matrix([[0, 0, 0]] * 3)) == Subspace.full(3)
 
     def test_identity(self):
         assert kernel(Matrix.identity(3)).dim == 0
@@ -247,7 +247,7 @@ class TestKernel:
         m = Matrix([[1, 1, 0]])
         k = kernel(m)
         assert k.dim == 2
-        for b in k.basis_vectors():
+        for b in k.basis.rows:
             assert m.apply(b) == (F(0),)
 
     @given(st.lists(st.lists(small_ints, min_size=4, max_size=4), min_size=1, max_size=5))
@@ -319,7 +319,7 @@ class TestSubspace:
         v = vadd(vscale(2, (1, 0, 2)), vscale(-1, (0, 1, 3)))
         assert s.contains(v)
         coords = s.coordinates(v)
-        assert linear_combination(s.basis_vectors(), coords) == v
+        assert linear_combination(s.basis.rows, coords) == v
         assert not s.contains((0, 0, 1))
         assert s.coordinates((0, 0, 1)) is None
 
@@ -398,7 +398,7 @@ class TestRankOne:
         assert rank_one_gauge(Matrix.identity(3)) is None
 
     def test_zero_matrix(self):
-        c, r = factor_rank_one(Matrix.zeros(2, 3))
+        c, r = factor_rank_one(Matrix([[0, 0, 0]] * 2))
         assert all(x == 0 for x in c) and all(x == 0 for x in r)
 
 
@@ -430,3 +430,9 @@ class TestMatrixOps:
         assert ray_generator(vector([0, 3, 6])) == Subspace([(0, 3, 6)], 3).basis.rows[0]
         with pytest.raises(ValueError):
             ray_generator(vector([0, 0, 0]))
+
+    def test_plain_ints_divide_exactly(self):
+        # true division of two ints is a float; the helpers must give the exact Fraction
+        assert ray_generator((3, 1)) == (F(1), F(1, 3))
+        assert proportionality_ratio((3, 0, 6), (1, 0, 2)) == F(1, 3)
+        assert proportionality_ratio((3, 0, 6), (1, 0, 1)) is None

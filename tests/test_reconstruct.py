@@ -184,7 +184,7 @@ class TestProductMatrix:
         recon = sweep_recon(shape, 15, pointed=False)
         bases = []
         for sheet, t in ((recon.sheet_w1, F(2)), (recon.sheet_w2, F(1))):
-            basis = list(sheet.subspace.basis_vectors())
+            basis = list(sheet.subspace.basis.rows)
             coords = sheet.subspace.coordinates(recon.w0)
             basis[next(i for i, c in enumerate(coords) if c != 0)] = vscale(t, recon.w0)
             bases.append(basis)

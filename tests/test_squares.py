@@ -65,6 +65,9 @@ class TestCompleteSquare:
         assert details.d == (F(0), F(0), F(0), F(1))
         assert details.case == "generic"
         assert details.scale == 1
+        # plain int corners: the scale 1/3 is exact, not a rounded float
+        assert complete_square(ident22, (3, 0, 0, 0), E11, E21) == (0, 0, F(1, 3), 0)
+        assert is_square(ident22, Square.of((3, 0, 0, 0), E11, E21, (0, 0, F(1, 3), 0)))
 
     def test_row_and_column_cases(self):
         inst = generate_instance((3, 4), 4)

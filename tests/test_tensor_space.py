@@ -18,7 +18,6 @@ from untensor.tensor_space import (
     instance_from_payload,
     instance_payload,
     verify_rule,
-    with_base_factors,
 )
 
 
@@ -96,9 +95,15 @@ class TestMembership:
             s = inst.sample_simple(rng)
             assert inst.is_simple(s)
 
-    def test_length_mismatch(self, ident22):
-        with pytest.raises(DimensionMismatch):
-            ident22.is_simple((1, 0, 0))
+    @pytest.mark.parametrize("query", ["is_simple", "minor_values", "polar2_rows", "polar2_values", "binary_restriction"])
+    def test_length_mismatch(self, ident22, query):
+        # a short vector is refused in any position, never answered on a truncated zip
+        short, full = (1, 0, 0), (0, 0, 0, 1)
+        pairs = query in ("polar2_values", "binary_restriction")
+        for args in [(short, full), (full, short)] if pairs else [(short,)]:
+            with pytest.raises(DimensionMismatch):
+                getattr(ident22, query)(*args)
+        assert ident22.stats.oracle_calls == 0
 
     def test_rational_scramble(self):
         # a p/q scramble makes the adjugate rational; membership and recovery stay exact
@@ -270,12 +275,6 @@ class TestSerialization:
         payload["base_point"] = ["0"] * 6
         with pytest.raises(ValueError, match="base_point is not a nonzero simple vector"):
             instance_from_payload(payload)
-
-    def test_with_base_factors(self):
-        inst = generate_instance((2, 3), 11)
-        pointed = with_base_factors(inst, (1, 2), (3, 0, 1))
-        assert pointed.base_point == inst.embed_simple((1, 2), (3, 0, 1))
-        assert pointed.scramble == inst.scramble
 
 
 class TestOracleBoundary:
