@@ -37,10 +37,10 @@ from untensor.linalg import (
     Matrix,
     Subspace,
     Vector,
+    _solve_columns,
     frac,
     is_zero_vector,
     proportionality_ratio,
-    solve_linear,
 )
 from untensor.reconstruct import Reconstruction
 from untensor.tensor_space import TensorSpace
@@ -116,11 +116,7 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
     """
     if f.source.dim != f.target.dim:
         return False
-    if f.matrix.shape != (f.target.dim, f.source.dim):
-        return False
-    try:
-        f.matrix.inverse()
-    except ValueError:
+    if f.matrix.shape != (f.target.dim, f.source.dim) or f.matrix.rank() < f.source.dim:
         return False
     if f.source.quadric_count != f.target.quadric_count:
         return False
@@ -151,11 +147,13 @@ def recovered_pair(inst: TensorSpace, recon: Reconstruction) -> tuple[Sheet, She
     return (recon.sheet_w1, recon.sheet_w2, recon.w0)
 
 
-def _coordinates_in(basis: Sequence[Vector], v: Vector) -> Vector:
-    coords = solve_linear(Matrix.from_columns(basis), v)
-    if coords is None:
+def _coordinate_map(basis: Sequence[Vector], images: Sequence[Vector]) -> Matrix:
+    """The matrix whose columns are the coordinates of the images in the
+    basis, from one elimination; an image outside its span raises."""
+    coords = _solve_columns(Matrix.from_columns(basis), images)
+    if None in coords:
         raise SheetNotPreserved("image vector escapes the expected sheet")
-    return coords
+    return Matrix.from_columns(coords)
 
 
 def _factor_maps(
@@ -195,13 +193,12 @@ def _factor_maps(
     else:
         raise SheetNotPreserved("first sheet image is not a sheet of the target pair")
 
-    f1 = Matrix.from_columns([_coordinates_in(targets[0], x) for x in images_e])
-    f2 = Matrix.from_columns([_coordinates_in(targets[1], x) for x in images_f])
+    f1 = _coordinate_map(targets[0], images_e)
+    f2 = _coordinate_map(targets[1], images_f)
     for part in (f1, f2):
-        try:
-            part.inverse()
-        except ValueError:
-            raise RankDeficient("a restricted factor map is singular") from None
+        # rank == nrows == ncols exactly when the restriction is invertible
+        if part.rank() < max(part.shape):
+            raise RankDeficient("a restricted factor map is singular")
     return f1, f2, crossed
 
 

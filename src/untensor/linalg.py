@@ -8,21 +8,23 @@ canonical representative: two subspaces are equal iff their bases compare
 equal, and a ray (one-dimensional subspace) has a canonical generator whose
 first nonzero coordinate is 1.
 
-Every elimination (`rank`, `rref`, `kernel`, `inverse`, `solve_linear`,
+Every elimination (`rank`, `kernel`, `inverse`, `solve_linear`,
 `determinant` and the `Subspace` reductions) runs through one integer core,
 `_eliminate`: each row is scaled by the lcm of its denominators, rows are
 combined fraction-free over Python `int` with their gcd content divided out
 after every update (Bareiss 1968 keeps the same integrality with exact
-quotients), and Fractions are built only from the final reduced rows.
+quotients).
 
-A matrix may carry its rows cleared to integers (a memo of (ints, den)
-pairs).  `Matrix.apply` fills it on first use, `Matrix.from_integer_rows`
-and the reduced bases built here start with it, and every elimination
-reads it when it is there instead of clearing the Fractions again.
-Integer rows are never changed in place, so memos may share them.  Rows
-that this module built itself enter a `Matrix` or `Subspace` through
-private constructors that skip the coercion and reduction of the public
-ones.
+A `Matrix` holds its entries in one of two forms: Fraction rows, or integer
+rows with one nonzero denominator per row.  The public constructor makes
+the first; `Matrix.from_integer_rows` and every matrix this module computes
+(products, scalings, Kronecker products, inverses, reduced bases) make the
+second, straight from integer arithmetic.  Either form is built from the
+other the first time it is read, and then kept, so no Fraction is made for
+a matrix that is only eliminated, multiplied or applied.  Integer rows are
+never changed in place, so matrices may share them.  Rows that this module
+built itself enter a `Matrix` or `Subspace` through private constructors
+that skip the coercion and reduction of the public ones.
 
 `kernel` eliminates once, with the columns in reverse order: every pivot
 row then ends at its pivot, so the null vectors read off the free columns
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -160,13 +162,16 @@ def proportionality_ratio(base: Vector, candidate: Vector) -> Fraction | None:
 
 
 class Matrix:
-    """Immutable rectangular matrix of Fractions.
+    """Immutable rectangular matrix of rationals.
 
-    Instances are hashable and compare by entries.  An explicit column
-    count is required when constructing a matrix with zero rows.
+    It holds the form it was built in, Fraction rows or (ints, den) integer
+    rows, and builds the other on first read (see the module docstring);
+    `rows` always gives the Fraction rows.  Instances are hashable and
+    compare by entries, whichever form they were built in.  An explicit
+    column count is required when constructing a matrix with zero rows.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_integer_rows")
+    __slots__ = ("_rows", "_ints", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
         materialized = tuple(tuple(frac(x) for x in row) for row in rows)
@@ -179,47 +184,73 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
-        self.rows = materialized
+        self._rows = materialized
+        self._ints = None
         self.nrows = len(materialized)
         self.ncols = ncols
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, rows: tuple[Vector, ...], ncols: int, cleared: list | None = None) -> "Matrix":
-        """A matrix of rows that this module built itself: equal-length tuples
-        of Fractions, taken as they are.  `cleared`, when given, is the
-        integer-row memo, one (ints, den) pair per row."""
+    def _trusted(cls, cleared: list[tuple[list[int], int]], ncols: int) -> "Matrix":
+        """A matrix of integer rows that this module built itself, one
+        (ints, den) pair per row, taken as they are."""
         m = cls.__new__(cls)
-        m.rows = rows
-        m.nrows = len(rows)
+        m._rows = None
+        m._ints = cleared
+        m.nrows = len(cleared)
         m.ncols = ncols
-        if cleared is not None:
-            m._integer_rows = cleared
         return m
 
     @classmethod
     def from_integer_rows(cls, rows: Iterable[Sequence[int]], den: int, ncols: int) -> "Matrix":
         """The matrix rows / den, for integer rows over one nonzero common
-        denominator.  The integer rows are kept as the memo, so eliminations
-        and products read them without clearing the Fractions again."""
+        denominator.  No Fraction is built until `rows` is read."""
+        if den == 0:
+            raise ZeroDivisionError("integer rows need a nonzero denominator")
         cleared = [(list(row), den) for row in rows]
         if any(len(ints) != ncols for ints, _ in cleared):
             raise ValueError("declared column count does not match rows")
-        return cls._trusted(tuple(from_integers(ints, den) for ints, _ in cleared), ncols, cleared)
+        return cls._trusted(cleared, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._trusted(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)), n)
+        return cls._trusted([([int(i == j) for j in range(n)], 1) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        cols = [vector(c) for c in columns]
+        cols = list(columns)
         if cols:
             nrows = len(cols[0])
         elif nrows is None:
             raise ValueError("a matrix with no columns needs an explicit row count")
-        return cls._trusted(tuple(tuple(col[i] for col in cols) for i in range(nrows)), len(cols))
+        return cls([[col[i] for col in cols] for i in range(nrows)], len(cols))
+
+    # -- the two forms -----------------------------------------------------
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The entries as Fraction rows, built from the integer rows on first read."""
+        if self._rows is None:
+            self._rows = tuple(from_integers(ints, den) for ints, den in self._ints)
+        return self._rows
+
+    def _cleared(self) -> list[tuple[list[int], int]]:
+        """The rows as (ints, den) pairs, cleared from the Fractions on first read."""
+        if self._ints is None:
+            self._ints = [to_integers(row) for row in self._rows]
+        return self._ints
+
+    def _elimination_rows(self) -> list[list[int]]:
+        """Integer rows with the same row space, in a fresh list for `_eliminate`."""
+        return [ints for ints, _ in self._cleared()]
+
+    def integer_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, den) with this matrix == rows / den: integer rows over one
+        positive common denominator (not always the least one)."""
+        cleared = self._cleared()
+        common = lcm(*[den for _, den in cleared])
+        return [[x * (common // den) for x in ints] for ints, den in cleared], common
 
     # -- basic accessors ---------------------------------------------------
 
@@ -247,59 +278,40 @@ class Matrix:
 
     def scale(self, t) -> "Matrix":
         t = frac(t)
-        return Matrix._trusted(tuple(tuple(t * a for a in row) for row in self.rows), self.ncols)
+        num, den = t.numerator, t.denominator
+        return Matrix._trusted([([num * x for x in ints], d * den) for ints, d in self._cleared()], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Integer dot products against the columns of other over one common denominator."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        cols = [to_integers(other.column(j)) for j in range(other.ncols)]
-        out = []
-        for ints, den in self._cleared():
-            out.append(tuple(Fraction(sum(map(mul, ints, col)), den * col_den) for col, col_den in cols))
-        return Matrix._trusted(tuple(out), other.ncols)
+        rows, common = other.integer_rows()
+        cols = [[row[j] for row in rows] for j in range(other.ncols)]
+        return Matrix._trusted(
+            [([sum(map(mul, ints, col)) for col in cols], den * common) for ints, den in self._cleared()],
+            other.ncols,
+        )
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product, as integer dot products over cleared denominators.
-
-        The rows are cleared on the first call and kept, since the matrices
-        applied most often (a scramble, its inverse, an inverse product
-        matrix) are applied to many vectors.
-        """
+        """Matrix-vector product, as integer dot products over cleared denominators."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
         ints, den = to_integers(v)
-        return tuple(
-            Fraction(sum(map(mul, row_ints, ints)), row_den * den) for row_ints, row_den in self._cleared(keep=True)
-        )
-
-    def _cleared(self, keep: bool = False) -> list[tuple[list[int], int]]:
-        """The rows as (ints, den) pairs: the memo when there is one, else
-        cleared afresh, and kept as the memo only when `keep` asks for it."""
-        try:
-            return self._integer_rows
-        except AttributeError:
-            rows = [to_integers(row) for row in self.rows]
-            if keep:
-                self._integer_rows = rows
-            return rows
-
-    def _elimination_rows(self) -> list[list[int]]:
-        """Integer rows with the same row space, for `_eliminate`; makes no memo."""
-        return [ints for ints, _ in self._cleared()]
+        return tuple(Fraction(sum(map(mul, row_ints, ints)), row_den * den) for row_ints, row_den in self._cleared())
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(
-            tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-            self.nrows,
-        )
+        return Matrix([[row[j] for row in self.rows] for j in range(self.ncols)], self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major block layout."""
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append(tuple(a * b for a in ra for b in rb))
-        return Matrix._trusted(tuple(out), self.ncols * other.ncols)
+        return Matrix._trusted(
+            [
+                ([a * b for a in ia for b in ib], da * db)
+                for ia, da in self._cleared()
+                for ib, db in other._cleared()
+            ],
+            self.ncols * other.ncols,
+        )
 
     # -- elimination-based queries ------------------------------------------
 
@@ -332,7 +344,7 @@ def from_integers(ints: Sequence[int], den: int) -> Vector:
     """The integers divided by a nonzero common denominator, as Fractions."""
     if den == 1:
         return tuple(map(Fraction, ints))
-    return tuple(Fraction(x, den) for x in ints)
+    return tuple(Fraction(x, den) if x else ZERO for x in ints)
 
 
 def _eliminate(
@@ -396,23 +408,6 @@ def _eliminate(
     return pivots, Fraction(scaled, divided)
 
 
-def _echelon_matrix(leads: Iterable[tuple[list[int], int]], ncols: int) -> Matrix:
-    """The matrix whose rows are the integer rows, each divided by its entry
-    at the given lead column; the integer rows stay on as its memo."""
-    rows, cleared = [], []
-    for ints, c in leads:
-        den = ints[c]
-        rows.append(tuple(Fraction(x, den) if x else ZERO for x in ints))
-        cleared.append((ints, den))
-    return Matrix._trusted(tuple(rows), ncols, cleared)
-
-
-def _row_echelon(rows: list[list[int]], ncols: int) -> Matrix:
-    """The nonzero rows of the reduced row-echelon form of the integer rows."""
-    pivots, _ = _eliminate(rows, ncols)
-    return _echelon_matrix(zip(rows, pivots), ncols)
-
-
 def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], int]]:
     """Integer null vectors of the integer rows, as (z, f) for each free column f.
 
@@ -439,36 +434,26 @@ def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], in
     return out
 
 
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row-echelon form; the shape (zero rows included) is kept."""
-    reduced = _row_echelon(m._elimination_rows(), m.ncols).rows
-    return Matrix._trusted(reduced + (vzero(m.ncols),) * (m.nrows - len(reduced)), m.ncols)
-
-
 def inverse_and_determinant(m: Matrix) -> tuple[Matrix | None, Fraction]:
     """The inverse (None when m is singular) and the determinant of a square m.
 
     Both come from one elimination of [m | I]: the right half of the
     reduced rows is the inverse, and the product of the left half's pivot
     entries, corrected by the factor the elimination and the clearing of
-    denominators multiplied the determinant by, is the determinant.
+    denominators multiplied the determinant by, is the determinant.  Row i
+    of m is ints_i / den_i, so row i of [m | I] is cleared to
+    [ints_i | den_i e_i], and each row of the inverse is over its pivot.
     """
     if m.nrows != m.ncols:
         raise ValueError("only square matrices invert")
     n = m.nrows
-    aug, cleared = [], 1
-    for i, row in enumerate(m.rows):
-        ints, den = to_integers(row)
-        aug.append(ints + [den if i == j else 0 for j in range(n)])
-        cleared *= den
+    cleared = m._cleared()
+    aug = [ints + [den if i == j else 0 for j in range(n)] for i, (ints, den) in enumerate(cleared)]
     pivots, factor = _eliminate(aug, 2 * n, track_det=True)
     if pivots != list(range(n)):
         return None, ZERO
-    product = 1
-    for row, c in zip(aug, pivots):
-        product *= row[c]
-    inverse = Matrix._trusted(tuple(from_integers(row[n:], row[c]) for row, c in zip(aug, pivots)), n)
-    return inverse, product / (factor * cleared)
+    inverse = Matrix._trusted([(row[n:], row[c]) for row, c in zip(aug, pivots)], n)
+    return inverse, prod(row[c] for row, c in zip(aug, pivots)) / (factor * prod(den for _, den in cleared))
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -520,11 +505,13 @@ class Subspace:
     __slots__ = ("basis", "ambient_dim")
 
     def __init__(self, vectors: Iterable[Sequence], ambient_dim: int):
-        rows = [vector(v) for v in vectors]
+        rows = [to_integers(vector(v))[0] for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch.of(ambient_dim, len(r))
-        self.basis = _row_echelon([to_integers(r)[0] for r in rows], ambient_dim)
+        # The nonzero rows of the reduced row-echelon form, each over its pivot.
+        pivots, _ = _eliminate(rows, ambient_dim)
+        self.basis = Matrix._trusted([(row, row[c]) for row, c in zip(rows, pivots)], ambient_dim)
         self.ambient_dim = ambient_dim
 
     @classmethod
@@ -534,10 +521,6 @@ class Subspace:
         sub.basis = basis
         sub.ambient_dim = basis.ncols
         return sub
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls((), ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -579,10 +562,6 @@ class Subspace:
             return None
         return tuple(coords)
 
-    def add(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace(self.basis.rows + other.basis.rows, self.ambient_dim)
-
     def meet_kernel(self, m: Matrix) -> "Subspace":
         """The vectors of this subspace that m maps to zero.
 
@@ -597,16 +576,16 @@ class Subspace:
         """
         if m.ncols != self.ambient_dim:
             raise DimensionMismatch.of(self.ambient_dim, m.ncols)
-        basis = [ints for ints, _ in self.basis._cleared(keep=True)]
+        basis = self.basis._elimination_rows()
         product = [[sum(map(mul, row, k)) for k in basis] for row in m._elimination_rows()]
-        leads = []
+        rows = []
         for z, f in _null_vectors(product, len(basis)):
             x = [0] * self.ambient_dim
             for zi, k in zip(z, basis):
                 if zi:
                     x = [a + zi * b for a, b in zip(x, k)]
-            leads.append((x, first_nonzero_index(basis[f])))
-        return Subspace._reduced(_echelon_matrix(leads, self.ambient_dim))
+            rows.append((x, x[first_nonzero_index(basis[f])]))
+        return Subspace._reduced(Matrix._trusted(rows, self.ambient_dim))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Largest subspace contained in both: this one restricted to the
@@ -616,12 +595,9 @@ class Subspace:
         lies in the span of the basis rows exactly when every vector
         orthogonal to them is orthogonal to x.
         """
-        self._check_ambient(other)
-        return self.meet_kernel(kernel(other.basis).basis)
-
-    def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch.of(self.ambient_dim, other.ambient_dim)
+        return self.meet_kernel(kernel(other.basis).basis)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -629,7 +605,8 @@ def kernel(m: Matrix) -> Subspace:
 
     One elimination gives the canonical basis directly (see `_null_vectors`).
     """
-    return Subspace._reduced(_echelon_matrix(_null_vectors(m._elimination_rows(), m.ncols), m.ncols))
+    null = _null_vectors(m._elimination_rows(), m.ncols)
+    return Subspace._reduced(Matrix._trusted([(z, z[f]) for z, f in null], m.ncols))
 
 
 def ray_generator(v: Sequence[Fraction]) -> Vector:

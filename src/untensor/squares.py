@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.foliation import same_sheet, tangent_intersection
-from untensor.linalg import Vector, is_zero_vector, proportionality_ratio, ray_generator, vadd, vscale
+from untensor.foliation import same_sheet
+from untensor.linalg import Subspace, Vector, is_zero_vector, kernel, proportionality_ratio, ray_generator, vadd, vscale
 from untensor.tensor_space import TensorSpace
 
 
@@ -104,6 +104,12 @@ def is_square(inst: TensorSpace, sq: Square) -> bool:
     )
 
 
+def _corner_plane(inst: TensorSpace, b: Vector, c: Vector) -> Subspace:
+    """T(b) ∩ T(c) for corners already checked to be nonzero and simple:
+    `tangent_intersection` without its own checks on b and c."""
+    return kernel(inst.polar2_rows(b)).meet_kernel(inst.polar2_rows(c))
+
+
 def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence) -> Completion:
     """The unique d making ((a, b), (c, d)) a square, with diagnostics.
 
@@ -147,7 +153,7 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
         raise PreconditionViolated("a must share a sheet with b and with c")
     if same_sheet(inst, b, c):
         raise PreconditionViolated("b and c lie across the square and must not share a sheet")
-    plane = tangent_intersection(inst, b, c)
+    plane = _corner_plane(inst, b, c)
     if plane.dim != 2:
         raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
     if not plane.contains(a):

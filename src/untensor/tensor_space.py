@@ -26,9 +26,9 @@ Q_k(d2)), and row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the
 columns of the adjugate.  That row is one integer combination of the four
 adjugate rows a, b, c, d of minor k, with the hidden coordinates of v as
 coefficients, and the rows reach `linalg` as integers over one common
-denominator (`Matrix.from_integer_rows`), so eliminations never clear
-them again.  None of these public methods calls another, so each query
-bumps `oracle_calls` once.
+denominator (`Matrix.from_integer_rows`): no Fraction is built for them
+unless a caller reads `rows`, which no recovery path does.  None of these
+public methods calls another, so each query bumps `oracle_calls` once.
 
 The hidden coordinates come from the adjugate of the scramble, which
 multiplies every quadric value by the fixed positive constant
@@ -39,7 +39,9 @@ values matter.  `quadrics` (the pulled-back Gram matrices) stays the
 independent reference the form is tested against.
 
 The adjugate is stored once as integer rows over one positive common
-denominator (1 for an integer scramble).  An oracle query clears the
+denominator (1 for an integer scramble), taken from the integer rows of
+the inverse that eliminating the scramble yields, so the inverse's
+Fractions are never built for it.  An oracle query clears the
 denominators of its input vector and evaluates the form with integer
 arithmetic; Fractions are built only for the values it returns, and no
 per-instance cache of unscrambled vectors is kept.
@@ -199,13 +201,12 @@ class TensorSpace:
         self.scramble_inverse = inverse
         # det * inverse is the adjugate, held as integer rows over its least
         # common denominator _adj_den (1 whenever the scramble is integral).
-        flat, den = to_integers([x for row in inverse.rows for x in row])
-        flat = [x * det.numerator for x in flat]
+        rows, den = inverse.integer_rows()
+        rows = [[x * det.numerator for x in row] for row in rows]
         den *= det.denominator
-        g = gcd(den, *flat)
+        g = gcd(den, *[x for row in rows for x in row])
         self._adj_den = den // g
-        flat = [x // g for x in flat]
-        self._adj_rows = tuple(flat[i * self.dim : (i + 1) * self.dim] for i in range(self.dim))
+        self._adj_rows = tuple([x // g for x in row] for row in rows)
         self._det2 = det * det
         self.seed = seed
         self.sampler_range = sampler_range

@@ -47,7 +47,7 @@ def hidden_sheet(inst, *, beta=None, alpha=None):
 class TestSubspaceInS:
     def test_zero_subspace(self):
         inst = generate_instance((2, 3), 1)
-        assert subspace_in_S(inst, Subspace.zero(6))
+        assert subspace_in_S(inst, Subspace((), 6))
 
     def test_span_of_two_generic_samples(self):
         inst = generate_instance((3, 3), 2)

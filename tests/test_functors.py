@@ -104,6 +104,14 @@ class TestCertification:
         for _ in range(20):
             assert not is_cone_morphism(LinearMorphism(inst_a, inst_b, rand_invertible(rng, inst_a.dim, 2)))
 
+    def test_rejects_a_singular_map_into_the_cone(self):
+        # x -> x_0 s sends every vector onto the ray of a simple s, so every
+        # pulled-back quadric vanishes and only the rank check refuses it.
+        inst = generate_instance((2, 3), 7)
+        s = inst.embed_simple((1, 2), (0, 1, -1))
+        squash = Matrix([[x] + [0] * (inst.dim - 1) for x in s])
+        assert not is_cone_morphism(LinearMorphism(inst, inst, squash))
+
     def test_swap_map_preserves_cone(self):
         inst = generate_instance((3, 3), 10, pointed=True)
         n = 3

@@ -1,11 +1,14 @@
+import ast
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import untensor
 from untensor import linalg
 from untensor.errors import DimensionMismatch
 from untensor.linalg import (
@@ -24,12 +27,12 @@ from untensor.linalg import (
     proportionality_ratio,
     rank_one_gauge,
     ray_generator,
-    rref,
     solve_linear,
     vadd,
     vector,
     vscale,
 )
+from untensor.tensor_space import generate_instance
 
 small_ints = st.integers(min_value=-9, max_value=9)
 fractions = st.builds(F, small_ints, st.integers(min_value=1, max_value=9))
@@ -72,9 +75,10 @@ def reference_determinant(rows):
 
 
 @st.composite
-def rational_matrices(draw, square=False, ncols=None):
+def rational_matrices(draw, square=False, ncols=None, nrows=None):
     """Small rational matrices, biased toward zero rows, zero columns and rank deficiency."""
-    nrows = draw(st.integers(min_value=0, max_value=4 if square else 5))
+    if nrows is None:
+        nrows = draw(st.integers(min_value=0, max_value=4 if square else 5))
     if square:
         ncols = nrows
     elif ncols is None:
@@ -94,13 +98,106 @@ def rational_matrices(draw, square=False, ncols=None):
     return Matrix(rows, ncols)
 
 
+@st.composite
+def integer_form(draw, m):
+    """m rebuilt in integer form: each row over its own nonzero denominator,
+    a multiple of either sign of the lcm of the row's denominators."""
+    cleared = []
+    for row in m.rows:
+        ints, den = linalg.to_integers(row)
+        k = draw(st.integers(min_value=-3, max_value=3).filter(bool))
+        cleared.append(([k * x for x in ints], k * den))
+    return Matrix._trusted(cleared, m.ncols)
+
+
+@st.composite
+def either_form(draw, **shape):
+    """A rational matrix, built from Fractions or from integer rows."""
+    m = draw(rational_matrices(**shape))
+    return draw(integer_form(m)) if draw(st.booleans()) else m
+
+
+def reference_product(a, b):
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, b.column(j))), F(0)) for j in range(b.ncols)) for row in a.rows
+    )
+
+
+class TestMatrixForms:
+    """A matrix keeps the form it was built in; results built from integer
+    rows agree with Fraction arithmetic on the entries, whatever the form
+    of the operands."""
+
+    @given(rational_matrices(), st.data())
+    def test_forms_compare_equal(self, m, data):
+        twin = data.draw(integer_form(m))
+        assert m._ints is None and twin._rows is None
+        assert twin == m and m == twin and hash(twin) == hash(m)
+        assert twin.rows == m.rows and twin.shape == m.shape
+
+    @given(either_form(), st.data())
+    def test_matmul(self, a, data):
+        b = data.draw(either_form(nrows=a.ncols))
+        product = a @ b
+        assert product.shape == (a.nrows, b.ncols)
+        assert product.rows == reference_product(a, b)
+        assert Matrix.identity(a.nrows) @ a == a == a @ Matrix.identity(a.ncols)
+
+    @given(either_form(), st.one_of(st.just(0), small_ints, fractions))
+    def test_scale(self, m, t):
+        scaled = m.scale(t)
+        assert scaled.shape == m.shape
+        assert scaled.rows == tuple(tuple(t * x for x in row) for row in m.rows)
+
+    @given(either_form(), st.data())
+    def test_kron_and_transpose(self, a, data):
+        b = data.draw(either_form())
+        k = a.kron(b)
+        assert k.shape == (a.nrows * b.nrows, a.ncols * b.ncols)
+        assert k.rows == tuple(tuple(x * y for x in ra for y in rb) for ra in a.rows for rb in b.rows)
+        t = a.transpose()
+        assert t.shape == (a.ncols, a.nrows)
+        assert t.rows == tuple(tuple(row[j] for row in a.rows) for j in range(a.ncols))
+        assert t.transpose() == a
+
+    @given(st.integers(min_value=0, max_value=5))
+    def test_identity(self, n):
+        unit = Matrix([[F(int(i == j)) for j in range(n)] for i in range(n)], n)
+        assert Matrix.identity(n) == unit and hash(Matrix.identity(n)) == hash(unit)
+        assert Matrix.identity(n).rows == unit.rows
+
+    @given(rational_matrices(square=True), st.data())
+    def test_eliminations_agree_across_forms(self, m, data):
+        twin = data.draw(integer_form(m))
+        assert twin.rank() == m.rank() and kernel(twin) == kernel(m)
+        assert inverse_and_determinant(twin) == inverse_and_determinant(m)
+        rhs = data.draw(st.lists(fractions, min_size=m.nrows, max_size=m.nrows))
+        assert solve_linear(twin, rhs) == solve_linear(m, rhs)
+        assert twin.apply(rhs) == m.apply(rhs)
+
+
+class TestMatrixBoundary:
+    PRIVATE = frozenset({"_rows", "_ints", "_cleared", "_elimination_rows", "_trusted"})
+
+    def test_private_matrix_names_stay_in_linalg(self):
+        """Which form a matrix holds is known to linalg alone."""
+        package = Path(untensor.__file__).parent
+        modules = sorted(p for p in package.glob("*.py") if p.name != "linalg.py")
+        assert len(modules) > 5
+        reads = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in self.PRIVATE:
+                    reads.append(f"{path.name}:{node.lineno} uses {node.attr}")
+        assert reads == []
+
+
 class TestIntegerCoreAgainstReference:
     """The integer elimination core against textbook Fraction Gauss-Jordan."""
 
     @given(rational_matrices())
     def test_rref_rank_kernel(self, m):
         reduced, pivots = reference_rref(m.rows, m.ncols)
-        assert rref(m).rows == tuple(reduced)
         assert m.rank() == len(pivots)
         free = [f for f in range(m.ncols) if f not in pivots]
         null_vectors = []
@@ -199,7 +296,7 @@ class TestIntegerCoreAgainstReference:
         assert m == reference and hash(m) == hash(reference)
         assert m.rank() == reference.rank()
         assert kernel(m) == kernel(reference)
-        assert rref(m) == rref(reference)
+        assert Subspace(m.rows, 3) == Subspace(reference.rows, 3)
         v = (F(1), F(-2, 3), F(5))
         assert m.apply(v) == reference.apply(v)
 
@@ -209,15 +306,15 @@ class TestIntegerCoreAgainstReference:
         sa, sb = Subspace(a.rows, a.ncols), Subspace(b.rows, b.ncols)
         meet = sa.intersect(sb)
         assert all(sa.contains(v) and sb.contains(v) for v in meet.basis.rows)
-        assert meet.dim == sa.dim + sb.dim - sa.add(sb).dim
+        assert meet.dim == sa.dim + sb.dim - Subspace(sa.basis.rows + sb.basis.rows, a.ncols).dim
 
 
 class TestRref:
     def test_diagonal_scaling(self):
-        assert rref(Matrix([[2, 0], [0, 3]])) == Matrix([[1, 0], [0, 1]])
+        assert Subspace([[2, 0], [0, 3]], 2).basis == Matrix([[1, 0], [0, 1]])
 
     def test_dependent_rows(self):
-        assert rref(Matrix([[1, 2], [2, 4]])) == Matrix([[1, 2], [0, 0]])
+        assert Subspace([[1, 2], [2, 4]], 2).basis == Matrix([[1, 2]])
 
     def test_invertible_reduces_to_identity(self):
         # independent oracle: invertibility certified by fraction-free elimination
@@ -228,12 +325,12 @@ class TestRref:
             if determinant(m) == 0:
                 continue
             found += 1
-            assert rref(m) == Matrix.identity(5)
+            assert Subspace(m.rows, 5).basis == Matrix.identity(5)
 
     @given(st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=4))
     def test_idempotent(self, rows):
-        m = Matrix(rows)
-        assert rref(rref(m)) == rref(m)
+        basis = Subspace(rows, 3).basis
+        assert Subspace(basis.rows, 3).basis == basis
 
 
 class TestKernel:
@@ -268,12 +365,17 @@ class TestKernel:
         assert calls == [{"reverse": True}]
         assert k == Subspace([(-2, 1, 0, 0), (-3, 0, 1, 0)], 4)
 
-    def test_rank_makes_no_integer_row_memo(self):
-        m = Matrix([[1, F(1, 2)], [F(2, 3), 1]])
-        assert m.rank() == 2
-        assert not hasattr(m, "_integer_rows")
-        m.apply((1, 1))
-        assert hasattr(m, "_integer_rows")
+    def test_polar_rows_stay_integer_through_eliminations(self):
+        inst = generate_instance((3, 3), 4)
+        v = inst.sample_simple(Random(2))
+        rows = inst.polar2_rows(v)
+        tangent = kernel(rows)
+        assert tangent.meet_kernel(rows) == tangent
+        assert Subspace.full(inst.dim).meet_kernel(rows) == tangent
+        assert rows._rows is None
+        # Column p of the polar rows is the polar form of v against e_p.
+        columns = [inst.polar2_values(v, e) for e in Matrix.identity(inst.dim).rows]
+        assert rows.rows == tuple(zip(*columns))
 
 
 class TestSubspace:
@@ -304,7 +406,7 @@ class TestSubspace:
         for _ in range(20):
             a = Subspace(random_matrix(rng, 3, 6).rows, 6)
             b = Subspace(random_matrix(rng, 4, 6).rows, 6)
-            expected = a.dim + b.dim - a.add(b).dim
+            expected = a.dim + b.dim - Subspace(a.basis.rows + b.basis.rows, 6).dim
             got = a.intersect(b).dim
             assert got == expected
             ones += got == 1 and a.dim == 3 and b.dim == 4

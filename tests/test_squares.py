@@ -69,6 +69,24 @@ class TestCompleteSquare:
         assert complete_square(ident22, (3, 0, 0, 0), E11, E21) == (0, 0, F(1, 3), 0)
         assert is_square(ident22, Square.of((3, 0, 0, 0), E11, E21, (0, 0, F(1, 3), 0)))
 
+    def test_generic_completion_asks_about_each_corner_once(self, ident22, monkeypatch):
+        asked = []
+        is_simple = ident22.is_simple
+
+        def recording(v):
+            asked.append(tuple(v))
+            return is_simple(v)
+
+        monkeypatch.setattr(ident22, "is_simple", recording)
+        calls = ident22.stats.oracle_calls
+        assert complete_square_details(ident22, E11, E12, E21).case == "generic"
+        # The three corners and the three pair sums: the plane of b and c is
+        # built from corners already checked, so b and c are not asked again.
+        pairs = [vadd(E11, E12), vadd(E11, E21), vadd(E12, E21)]
+        assert asked == [E11, E12, E21, *pairs]
+        # Two polar2_rows, one binary_restriction, one minor_values, one polar2_values.
+        assert ident22.stats.oracle_calls == calls + 11
+
     def test_row_and_column_cases(self):
         inst = generate_instance((3, 4), 4)
         a = inst.embed_simple((1, 0, 2), (1, 1, 0, 1))
@@ -174,13 +192,13 @@ class TestGenericFailures:
 
     def test_plane_of_wrong_dimension(self, corners, monkeypatch):
         inst, a, b, c = corners
-        monkeypatch.setattr(squares, "tangent_intersection", lambda *args: Subspace([a, b, c], 4))
+        monkeypatch.setattr(squares, "_corner_plane", lambda *args: Subspace([a, b, c], 4))
         with pytest.raises(Degenerate):
             complete_square_details(inst, a, b, c)
 
     def test_plane_missing_a(self, corners, monkeypatch):
         inst, a, b, c = corners
-        monkeypatch.setattr(squares, "tangent_intersection", lambda *args: Subspace([b, c], 4))
+        monkeypatch.setattr(squares, "_corner_plane", lambda *args: Subspace([b, c], 4))
         with pytest.raises(PreconditionViolated):
             complete_square_details(inst, a, b, c)
 
