@@ -46,16 +46,16 @@ from untensor.errors import (
 )
 from untensor.linalg import (
     Matrix,
+    Scaled,
     Subspace,
     Vector,
-    fraction_sqrt_exact,
+    integer_sqrt_exact,
     is_zero_vector,
     kernel,
-    linear_combination,
     proportionality_ratio,
     ray_generator,
+    linear_combination,
     vadd,
-    vscale,
 )
 from untensor.tensor_space import TensorSpace
 
@@ -89,20 +89,27 @@ class SheetPair:
         return (self.first.subspace, self.second.subspace)
 
 
+def _scaled_rows(m: Matrix) -> list[Scaled]:
+    """The rows of m as `Scaled` vectors over one common denominator."""
+    rows, den = m.integer_rows()
+    return [Scaled(row, den) for row in rows]
+
+
 def subspace_in_S(inst: TensorSpace, sub: Subspace) -> bool:
     """Complete test that a subspace lies inside S.
 
     A quadric vanishes identically on a subspace iff it vanishes on every
     basis vector and every polarized basis pair, so the check is exact.
+    The basis and the answers stay integers.
     """
     if sub.ambient_dim != inst.dim:
         raise PreconditionViolated("ambient dimensions differ")
-    basis = sub.basis.rows
+    basis = _scaled_rows(sub.basis)
     for i, b in enumerate(basis):
-        if any(x != 0 for x in inst.minor_values(b)):
+        if any(inst.minor_values(b).ints):
             return False
         for a in basis[:i]:
-            if any(x != 0 for x in inst.polar2_values(a, b)):
+            if any(inst.polar2_values(a, b).ints):
                 return False
     return True
 
@@ -146,12 +153,18 @@ def same_sheet(inst: TensorSpace, x: Sequence, y: Sequence) -> bool:
     return inst.is_simple(vadd(tuple(x), tuple(y)))
 
 
-def _split_rays(inst: TensorSpace, d1: Vector, d2: Vector) -> tuple[Vector, Vector]:
+def _split_rays(inst: TensorSpace, d1: Sequence, d2: Sequence) -> tuple[Vector, Vector]:
     """The two rays of S in span{d1, d2}, as sorted canonical generators
     (first nonzero coordinate 1).  Every quadric restricted to the plane
     must be a multiple of one binary quadratic A x^2 + B2 xy + C y^2 with
-    two distinct rational roots; anything else raises Degenerate."""
-    forms = [f for f in inst.binary_restriction(d1, d2) if any(x != 0 for x in f)]
+    two distinct rational roots; anything else raises Degenerate.
+
+    The three answers of `binary_restriction` have their own denominators
+    DA, DB and DC; multiplying each form by DA * DB * DC > 0 makes it
+    integral without moving its roots, so every test below is on integers.
+    """
+    (a_ints, da), (b_ints, db), (c_ints, dc) = inst.binary_restriction(d1, d2)
+    forms = [(a * db * dc, b * da * dc, c * da * db) for a, b, c in zip(a_ints, b_ints, c_ints) if a or b or c]
     if not forms:
         raise Degenerate("every quadric vanishes on the plane")
     a, b2, c = forms[0]
@@ -159,14 +172,14 @@ def _split_rays(inst: TensorSpace, d1: Vector, d2: Vector) -> tuple[Vector, Vect
         if a * b1 != a1 * b2 or a * c1 != a1 * c or b2 * c1 != b1 * c:
             raise Degenerate("restricted quadrics are not proportional")
     disc = b2 * b2 - 4 * a * c
-    root = fraction_sqrt_exact(disc) if disc > 0 else None
+    root = integer_sqrt_exact(disc) if disc > 0 else None
     if a != 0 and root is not None:
-        roots = (((-b2 + root) / (2 * a), 1), ((-b2 - root) / (2 * a), 1))
+        roots = ((-b2 + root, 2 * a), (-b2 - root, 2 * a))
     elif a == 0 and b2 != 0:
         roots = ((1, 0), (-c, b2))
     else:
         raise Degenerate("restricted quadric does not split over the rationals")
-    g1, g2 = sorted(ray_generator(vadd(vscale(x, d1), vscale(y, d2))) for x, y in roots)
+    g1, g2 = sorted(ray_generator(linear_combination((d1, d2), xy)) for xy in roots)
     return (g1, g2)
 
 
@@ -215,12 +228,13 @@ def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
         raise TrivialShape("foliation discovery needs both factors of dimension >= 2")
     anchor = tangent_space(inst, v)
     tangent_dim = anchor.dim
+    basis = _scaled_rows(anchor.basis)
     for i in range(1, tangent_dim + 3):
-        t = linear_combination(anchor.basis.rows, [i**j for j in range(tangent_dim)])
+        t = linear_combination(basis, [i**j for j in range(tangent_dim)])
         meet = anchor.meet_kernel(inst.polar2_rows(t))
         if meet.dim != 2:
             continue
-        u = next(r for r in meet.basis.rows if proportionality_ratio(v, r) is None)
+        u = next(r for r in _scaled_rows(meet.basis) if proportionality_ratio(v, r) is None)
         try:
             rays = _split_rays(inst, t, u)
         except Degenerate:

@@ -35,6 +35,7 @@ from untensor.errors import (
 )
 from untensor.linalg import (
     Matrix,
+    Scaled,
     Subspace,
     Vector,
     _solve_columns,
@@ -94,7 +95,7 @@ def tensor_morphism(inst_a: TensorSpace, inst_b: TensorSpace, pm: VecPairMorphis
         raise DimensionMismatch.of(inst_a.shape, inst_b.shape)
     if pm.g.nrows != inst_a.shape.m or pm.h.nrows != inst_a.shape.n:
         raise DimensionMismatch.of((inst_a.shape.m, inst_a.shape.n), (pm.g.nrows, pm.h.nrows))
-    if pm.g.det() == 0 or pm.h.det() == 0:
+    if pm.g.rank() < pm.g.nrows or pm.h.rank() < pm.h.nrows:
         raise PreconditionViolated("factor maps must be invertible")
     hidden = pm.g.kron(pm.h)
     return LinearMorphism(inst_a, inst_b, inst_b.scramble @ hidden @ inst_a.scramble_inverse)
@@ -112,7 +113,9 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
     `polar2_values` on the unit pairs, T holds the target's on their
     images, one column per quadric, and containment is rank(S) ==
     rank([S | T]).  The det^2 scale of each oracle rescales whole columns
-    and leaves both ranks unchanged.
+    and leaves both ranks unchanged.  The answers stay integers: the row of
+    pair (p, q) is [s / Ds | t / Dt], and scaling it by Ds * Dt > 0 gives
+    the integer row [s Dt | t Ds] with the same ranks.
     """
     if f.source.dim != f.target.dim:
         return False
@@ -122,12 +125,16 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
         return False
     if f.source.quadric_count == 0:
         return True
-    units = Matrix.identity(f.source.dim).rows
-    images = f.matrix.columns()
-    pairs = [(p, q) for q in range(f.source.dim) for p in range(q + 1)]
-    source = Matrix([f.source.polar2_values(units[p], units[q]) for p, q in pairs])
-    both = Matrix([s + f.target.polar2_values(images[p], images[q]) for s, (p, q) in zip(source.rows, pairs)])
-    return source.rank() == both.rank()
+    dim, count = f.source.dim, f.source.quadric_count
+    units = [Scaled([int(p == q) for q in range(dim)], 1) for p in range(dim)]
+    rows, den = f.matrix.integer_rows()
+    images = [Scaled([row[p] for row in rows], den) for p in range(dim)]
+    pairs = [(p, q) for q in range(dim) for p in range(q + 1)]
+    source = [f.source.polar2_values(units[p], units[q]) for p, q in pairs]
+    target = [f.target.polar2_values(images[p], images[q]) for p, q in pairs]
+    both = [[x * dt for x in s] + [x * ds for x in t] for (s, ds), (t, dt) in zip(source, target)]
+    rank = Matrix.from_integer_rows([s for s, _ in source], 1, count).rank()
+    return rank == Matrix.from_integer_rows(both, 1, 2 * count).rank()
 
 
 def preserves_cone_empirically(f: LinearMorphism, rng, trials: int = 50) -> bool:

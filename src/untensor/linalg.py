@@ -1,8 +1,16 @@
 """Exact linear algebra over the rational numbers.
 
-Values cross this module's boundary as `fractions.Fraction`, so no operation
-ever rounds and equality of results is decidable.  Vectors are plain tuples
-of Fractions; `Matrix` and `Subspace` are small immutable wrappers.  A
+No operation ever rounds, so equality of results is decidable.  A vector
+comes in one of two forms: a plain tuple of Fractions (a `Vector`), or a
+`Scaled` pair (ints, den) of integers over one positive common denominator.
+`to_integers` turns either into the second and `Scaled.fractions` builds
+the first.  `_solve_columns` and `linear_combination` return the `Scaled`
+form, and they, `Matrix.apply`, `Matrix.from_columns`,
+`proportionality_ratio` and `ray_generator` accept both, so values passed
+between the stages of a computation are never turned into Fractions and
+cleared back; Fractions are built where a caller reads a result.  The
+plain-tuple helpers (`vadd`, `vscale`, `is_zero_vector`, ...) take
+Fractions only.  `Matrix` and `Subspace` are small immutable wrappers.  A
 subspace is stored as its reduced row-echelon basis, which is the unique
 canonical representative: two subspaces are equal iff their bases compare
 equal, and a ray (one-dimensional subspace) has a canonical generator whose
@@ -21,7 +29,8 @@ the first; `Matrix.from_integer_rows` and every matrix this module computes
 (products, scalings, Kronecker products, inverses, reduced bases) make the
 second, straight from integer arithmetic.  Either form is built from the
 other the first time it is read, and then kept, so no Fraction is made for
-a matrix that is only eliminated, multiplied or applied.  Integer rows are
+a matrix that is only eliminated, multiplied, applied or compared:
+equality and hashing read the integer rows in lowest terms.  Integer rows are
 never changed in place, so matrices may share them.  Rows that this module
 built itself enter a `Matrix` or `Subspace` through private constructors
 that skip the coercion and reduction of the public ones.
@@ -42,11 +51,23 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from untensor.errors import DimensionMismatch
 
 Vector = tuple[Fraction, ...]
+
+
+class Scaled(NamedTuple):
+    """A vector as integers over one positive common denominator: the
+    values ints[i] / den.  The denominator need not be the least one, so
+    two pairs can hold the same values and still compare unequal as pairs."""
+
+    ints: list[int]
+    den: int
+
+    def fractions(self) -> Vector:
+        return from_integers(self.ints, self.den)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,12 +126,6 @@ def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector lengths differ")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(t, v: Vector) -> Vector:
     t = frac(t)
     return tuple(t * a for a in v)
@@ -127,37 +142,42 @@ def first_nonzero_index(v: Sequence[Fraction]) -> int | None:
     return None
 
 
-def linear_combination(vectors: Sequence[Vector], coeffs: Sequence) -> Vector:
+def linear_combination(vectors: Sequence, coeffs: Sequence) -> Scaled:
     """Sum of coeffs[i] * vectors[i]; the vectors must share a length.
+    Vectors and coefficients may come in either form.
 
-    The sum is accumulated over the integers, on one common denominator,
-    and a Fraction is built only for each entry of the result.
+    The sum is accumulated over the integers, on one common denominator.
     """
     if not vectors:
         raise ValueError("empty vector list")
-    cints, cden = to_integers([frac(c) for c in coeffs])
-    acc, den = [0] * len(vectors[0]), 1
-    for c, v in zip(cints, vectors):
+    cints, cden = to_integers(coeffs)
+    cleared = [to_integers(v) for v in vectors]
+    acc, den = [0] * len(cleared[0].ints), 1
+    for c, (ints, vden) in zip(cints, cleared):
         if c:
-            ints, vden = to_integers(v)
             common = lcm(den, vden)
             up, c = common // den, c * (common // vden)
             acc = [x * up + c * y for x, y in zip(acc, ints)]
             den = common
-    return from_integers(acc, den * cden)
+    return Scaled(acc, den * cden)
 
 
-def proportionality_ratio(base: Vector, candidate: Vector) -> Fraction | None:
+def proportionality_ratio(base: Sequence, candidate: Sequence) -> Fraction | None:
     """Return t with candidate == t*base, or None if no such scalar exists.
 
-    `base` must be nonzero; the zero candidate yields t == 0.
+    Both vectors may come in either form.  They are compared by integer
+    cross-multiplication, candidate_i * base_lead == base_i * candidate_lead,
+    and the one Fraction built is t.  `base` must be nonzero; the zero
+    candidate yields t == 0.
     """
-    lead = first_nonzero_index(base)
+    b, bden = to_integers(base)
+    c, cden = to_integers(candidate)
+    lead = first_nonzero_index(b)
     if lead is None:
         raise ValueError("base vector must be nonzero")
-    t = frac(candidate[lead]) / base[lead]
-    if all(c == t * b for b, c in zip(base, candidate)):
-        return t
+    bl, cl = b[lead], c[lead]
+    if all(y * bl == x * cl for x, y in zip(b, c)):
+        return Fraction(cl * bden, bl * cden)
     return None
 
 
@@ -219,12 +239,18 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        cols = list(columns)
+        """The matrix with these columns, in either form, as integer rows
+        over the lcm of the column denominators."""
+        cols = [to_integers(col) for col in columns]
         if cols:
-            nrows = len(cols[0])
+            nrows = len(cols[0].ints)
         elif nrows is None:
             raise ValueError("a matrix with no columns needs an explicit row count")
-        return cls([[col[i] for col in cols] for i in range(nrows)], len(cols))
+        if any(len(ints) != nrows for ints, _ in cols):
+            raise ValueError("ragged columns")
+        common = lcm(*[den for _, den in cols])
+        cols = [ints if den == common else [x * (common // den) for x in ints] for ints, den in cols]
+        return cls._trusted([([col[i] for col in cols], common) for i in range(nrows)], len(cols))
 
     # -- the two forms -----------------------------------------------------
 
@@ -247,10 +273,11 @@ class Matrix:
 
     def integer_rows(self) -> tuple[list[list[int]], int]:
         """(rows, den) with this matrix == rows / den: integer rows over one
-        positive common denominator (not always the least one)."""
+        positive common denominator (not always the least one).  A row
+        already over it is shared, not copied; callers must not change it."""
         cleared = self._cleared()
         common = lcm(*[den for _, den in cleared])
-        return [[x * (common // den) for x in ints] for ints, den in cleared], common
+        return [ints if den == common else [x * (common // den) for x in ints] for ints, den in cleared], common
 
     # -- basic accessors ---------------------------------------------------
 
@@ -266,15 +293,22 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _canonical(self) -> tuple:
+        """The integer rows in lowest terms over positive denominators: the
+        same tuple for the same entries, whichever form holds them."""
+        out = []
+        for ints, den in self._cleared():
+            g = gcd(den, *ints)
+            if den < 0:
+                g = -g
+            out.append((tuple(ints), den) if g == 1 else (tuple(x // g for x in ints), den // g))
+        return tuple(out)
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        return isinstance(other, Matrix) and self.shape == other.shape and self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
+        return hash((self._canonical(), self.ncols))
 
     def scale(self, t) -> "Matrix":
         t = frac(t)
@@ -292,15 +326,17 @@ class Matrix:
             other.ncols,
         )
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product, as integer dot products over cleared denominators."""
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match column count")
+    def apply(self, v: Sequence) -> Vector:
+        """Matrix-vector product of a vector in either form, as integer dot
+        products over cleared denominators."""
         ints, den = to_integers(v)
+        if len(ints) != self.ncols:
+            raise ValueError("vector length does not match column count")
         return tuple(Fraction(sum(map(mul, row_ints, ints)), row_den * den) for row_ints, row_den in self._cleared())
 
     def transpose(self) -> "Matrix":
-        return Matrix([[row[j] for row in self.rows] for j in range(self.ncols)], self.nrows)
+        rows, den = self.integer_rows()
+        return Matrix._trusted([([row[j] for row in rows], den) for j in range(self.ncols)], self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major block layout."""
@@ -332,12 +368,15 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
-def to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, den) with values == ints / den: den is the lcm of the denominators."""
+def to_integers(values: Sequence) -> Scaled:
+    """values as a `Scaled` over the lcm of their denominators; a `Scaled`
+    is returned as it is."""
+    if type(values) is Scaled:
+        return values
     den = lcm(*[x.denominator for x in values])
     if den == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator * (den // x.denominator) for x in values], den
+        return Scaled([x.numerator for x in values], 1)
+    return Scaled([x.numerator * (den // x.denominator) for x in values], den)
 
 
 def from_integers(ints: Sequence[int], den: int) -> Vector:
@@ -405,7 +444,7 @@ def _eliminate(
                     scaled *= pg
         pivots.append(c)
         r += 1
-    return pivots, Fraction(scaled, divided)
+    return pivots, Fraction(scaled, divided) if track_det else ONE
 
 
 def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], int]]:
@@ -461,9 +500,10 @@ def determinant(m: Matrix) -> Fraction:
     return inverse_and_determinant(m)[1]
 
 
-def _solve_columns(a: Matrix, columns: Sequence[Sequence[Fraction]]) -> list[Vector | None]:
+def _solve_columns(a: Matrix, columns: Sequence[Sequence]) -> list[Scaled | None]:
     """One solution of a·x = b for every right-hand side b in columns, from
-    one elimination; None for a b outside the column space of a.
+    one elimination; None for a b outside the column space of a.  The
+    columns may come in either form, and each solution is a `Scaled`.
 
     Each row of a and each b is cleared to integers once.  Scaling b by its
     own denominator D scales its solution by D, so row i of the integer
@@ -471,32 +511,35 @@ def _solve_columns(a: Matrix, columns: Sequence[Sequence[Fraction]]) -> list[Vec
     elimination pivots in the columns of a only, carrying the right-hand
     sides along.  Afterwards a b is consistent exactly when every row
     without a pivot is zero in its column, and its solution, with the free
-    variables 0, reads off the pivot rows.
+    variables 0, reads off the pivot rows over the lcm of their pivots.
     """
-    if any(len(b) != a.nrows for b in columns):
+    cleared = [to_integers(b) for b in columns]
+    if any(len(ints) != a.nrows for ints, _ in cleared):
         raise ValueError("right-hand side length does not match row count")
     n = a.ncols
-    cleared = [to_integers(b) for b in columns]
     rows = []
     for i, (ints, den) in enumerate(a._cleared()):
         rows.append(ints + [den * b[i] for b, _ in cleared])
     pivots, _ = _eliminate(rows, n)
     rank = len(pivots)
-    out: list[Vector | None] = []
+    common = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    ups = [(c, row, common // row[c]) for row, c in zip(rows, pivots)]
+    out: list[Scaled | None] = []
     for k, (_, bden) in enumerate(cleared, start=n):
         if any(row[k] for row in rows[rank:]):
             out.append(None)
             continue
-        x = [ZERO] * n
-        for row, c in zip(rows, pivots):
-            x[c] = Fraction(row[k], row[c] * bden)
-        out.append(tuple(x))
+        x = [0] * n
+        for c, row, up in ups:
+            x[c] = row[k] * up
+        out.append(Scaled(x, common * bden))
     return out
 
 
 def solve_linear(a: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     """One solution of a·x = rhs, or None when rhs is outside the column space."""
-    return _solve_columns(a, [vector(rhs)])[0]
+    x = _solve_columns(a, [vector(rhs)])[0]
+    return None if x is None else x.fractions()
 
 
 class Subspace:
@@ -609,12 +652,14 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace._reduced(Matrix._trusted([(z, z[f]) for z, f in null], m.ncols))
 
 
-def ray_generator(v: Sequence[Fraction]) -> Vector:
-    """Canonical generator of the ray through a nonzero v: first nonzero coordinate 1."""
-    lead = first_nonzero_index(v)
+def ray_generator(v: Sequence) -> Vector:
+    """Canonical generator of the ray through a nonzero v, in either form:
+    first nonzero coordinate 1.  The denominator of v cancels."""
+    ints, _ = to_integers(v)
+    lead = first_nonzero_index(ints)
     if lead is None:
         raise ValueError("a ray needs a nonzero vector")
-    return vscale(ONE / v[lead], v)
+    return from_integers(ints, ints[lead])
 
 
 def integer_sqrt_exact(n: int) -> int | None:
@@ -625,28 +670,18 @@ def integer_sqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def fraction_sqrt_exact(q: Fraction) -> Fraction | None:
-    """Exact rational square root, or None if q is not a rational square."""
-    if q < 0:
-        return None
-    num = integer_sqrt_exact(q.numerator)
-    if num is None:
-        return None
-    den = integer_sqrt_exact(q.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
 def rank_one_gauge(m: Matrix) -> tuple[Vector, Vector, Fraction] | None:
     """Write a rank-one matrix as scale * outer(col, row).
 
     Both returned vectors have leading coordinate 1 and the scale carries
     the rest, so the gauge is canonical.  Returns None when m has rank 0
-    or at least 2.
+    or at least 2.  The test runs on the integer rows over one common
+    denominator: with p = m[i0][j0] the leading entry, m has rank one
+    exactly when m[i][j] * p == m[i][j0] * m[i0][j] everywhere.
     """
+    rows, den = m.integer_rows()
     lead = None
-    for i, row in enumerate(m.rows):
+    for i, row in enumerate(rows):
         j = first_nonzero_index(row)
         if j is not None:
             lead = (i, j)
@@ -654,14 +689,13 @@ def rank_one_gauge(m: Matrix) -> tuple[Vector, Vector, Fraction] | None:
     if lead is None:
         return None
     i0, j0 = lead
-    scale = m.rows[i0][j0]
-    col = tuple(m.rows[i][j0] / scale for i in range(m.nrows))
-    row = tuple(m.rows[i0][j] / scale for j in range(m.ncols))
-    # scale * col[i] is m[i][j0] itself, so each entry costs one product.
-    for r in m.rows:
-        if any(x != r[j0] * y for x, y in zip(r, row)):
+    top = rows[i0]
+    p = top[j0]
+    for r in rows:
+        x0 = r[j0]
+        if any(x * p != x0 * y for x, y in zip(r, top)):
             return None
-    return col, row, scale
+    return from_integers([r[j0] for r in rows], p), from_integers(top, p), Fraction(p, den)
 
 
 def factor_rank_one(m: Matrix) -> tuple[Vector, Vector] | None:

@@ -14,9 +14,10 @@ definition.  `product_matrix` builds all d1 * d2 products of basis
 vectors together from linear conditions at w0: one elimination of the
 polar rows of w0 with every right-hand side carried along, one small
 elimination per basis vector for the parts in W1 and W2, and one linear
-equation for the scale along w0 (see `_generic_products`).  One rank of
-φ checks that the products span V; φ⁻¹, which only `coefficient_grid`
-reads, is built the first time it is asked for.
+equation for the scale along w0 (see `_generic_products`).  The vectors
+passed between those solves are `Scaled` integers, and φ is born as
+integer rows.  One rank of φ checks that the products span V; φ⁻¹, which
+only `coefficient_grid` reads, is built the first time it is asked for.
 
 `verify_round_trip` is the only place that deliberately looks behind the
 scramble, and it reads everything from rank-one gauges of hidden grids.
@@ -25,7 +26,8 @@ vector must split against one of them, which matches the recovered sheets
 to the hidden ones and fixes the swap; and one `proportionality_ratio`
 over the flattened matrices extracts the single rational scale relating
 the derived product to the hidden product, which is precisely the
-one-parameter freedom a factor recovery can never remove.
+one-parameter freedom a factor recovery can never remove.  The hidden
+grids, φ and the hidden products are all read as integer rows.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from untensor.foliation import Sheet, SheetPair, sheets_through
 from untensor.linalg import (
     ZERO,
     Matrix,
+    Scaled,
     Subspace,
     Vector,
     _solve_columns,
@@ -58,8 +61,8 @@ from untensor.linalg import (
     linear_combination,
     proportionality_ratio,
     rank_one_gauge,
+    to_integers,
     vscale,
-    vsub,
     vzero,
 )
 from untensor.squares import common_root, complete_square
@@ -156,7 +159,7 @@ class Reconstruction:
             self._phi = phi
         return self._phi
 
-    def _generic_products(self) -> dict[tuple[int, int], Vector]:
+    def _generic_products(self) -> dict[tuple[int, int], Scaled]:
         """The derived product d of e_j and f_k, for every e_j and f_k not
         proportional to w0, keyed by (j, k).
 
@@ -177,14 +180,18 @@ class Reconstruction:
            Q(d' - s w0) = Q(d') + s 2B(e, f) is linear in s, and every
            quadric must agree on its root.
 
-        The oracle scales every value by the same det^2, which cancels in
-        each of the three solves.  An inconsistent solve or disagreeing
-        quadrics raise InconsistentSquare, and a scale no quadric pins
-        raises Degenerate.
+        Everything stays in the `Scaled` form: the oracle's answers (the
+        2B(e, f) table among them), the solutions y, the W1 and W2 parts,
+        d' and the products d, each integers over one positive denominator,
+        and common_root compares the quadrics by cross-multiplying them; s
+        is the one Fraction per product.  The oracle scales every value by
+        the same det^2, which cancels in each of the three solves.  An
+        inconsistent solve or disagreeing quadrics raise InconsistentSquare,
+        and a scale no quadric pins raises Degenerate.
         """
-        inst, w0 = self.inst, self.w0
-        es = [(j, e) for j, e in enumerate(self.basis_e) if proportionality_ratio(w0, e) is None]
-        fs = [(k, f) for k, f in enumerate(self.basis_f) if proportionality_ratio(w0, f) is None]
+        inst, w0 = self.inst, to_integers(self.w0)
+        es = [(j, to_integers(e)) for j, e in enumerate(self.basis_e) if proportionality_ratio(w0, e) is None]
+        fs = [(k, to_integers(f)) for k, f in enumerate(self.basis_f) if proportionality_ratio(w0, f) is None]
         if not es or not fs:
             return {}
         # table[a][b] = 2B(e, f) for the a-th generic e and b-th generic f.
@@ -203,11 +210,13 @@ class Reconstruction:
             for b, (_, f) in enumerate(fs)
         ]
         # 3. The scale s along w0, from Q(d' - s w0) = Q(d') + s 2B(e, f).
-        spanning = Matrix.from_columns([e for _, e in es] + [f for _, f in fs])
+        e_vectors, f_vectors = [e for _, e in es], [f for _, f in fs]
         out = {}
         for a, (j, _) in enumerate(es):
             for b, (k, _) in enumerate(fs):
-                d_prime = vsub(spanning.apply(on_e[b][a] + on_f[a][b]), y[a][b])
+                x1 = linear_combination(e_vectors, on_e[b][a])
+                x2 = linear_combination(f_vectors, on_f[a][b])
+                d_prime = linear_combination((x1, x2, y[a][b]), (1, 1, -1))
                 s = common_root(inst.minor_values(d_prime), table[a][b])
                 out[j, k] = linear_combination((d_prime, w0), (1, -s))
         return out
@@ -242,14 +251,14 @@ class Reconstruction:
         cvec, rvec = split
         if is_zero_vector(cvec):
             return (vzero(self.inst.dim), vzero(self.inst.dim))
-        return (linear_combination(self.basis_e, cvec), linear_combination(self.basis_f, rvec))
+        return (linear_combination(self.basis_e, cvec).fractions(), linear_combination(self.basis_f, rvec).fractions())
 
     def tensor_rank(self, v: Sequence) -> int:
         """Minimum number of simple summands: the rank of the coefficient grid."""
         return self.coefficient_grid(v).rank()
 
 
-def _solved(a: Matrix, columns: list[Vector]) -> list[Vector]:
+def _solved(a: Matrix, columns: list[Scaled]) -> list[Scaled]:
     """The solutions of a·x = b for every b in columns, all of which must exist."""
     solutions = _solve_columns(a, columns)
     if None in solutions:
@@ -322,6 +331,18 @@ def _side_vector(grid: Matrix, hat: Vector) -> Vector | None:
     return vscale(scale, col)
 
 
+def _flat_outer(x: Vector, y: Vector) -> Scaled:
+    """The grid outer(x, y), flattened row-major like `embed_simple`."""
+    (xs, dx), (ys, dy) = to_integers(x), to_integers(y)
+    return Scaled([a * b for a in xs for b in ys], dx * dy)
+
+
+def _flattened(m: Matrix) -> Scaled:
+    """The entries of m, row by row, over one common denominator."""
+    rows, den = m.integer_rows()
+    return Scaled([x for row in rows for x in row], den)
+
+
 def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripReport:
     """Compare a reconstruction against the hidden factorization.
 
@@ -379,18 +400,16 @@ def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripRepo
         phi = recon.product_matrix
     except (PreconditionViolated, InconsistentSquare, Degenerate, RankDeficient) as exc:
         return report(False, swap=swap, reason=str(exc))
-    # Column j * d2 + k of phi is the derived product of basis pair (j, k).
-    # In the swapped orientation the first sheet holds the column side, so
-    # the hidden product pairs qk (rows) with pj (columns).
-    derived = tuple(x for column in phi.columns() for x in column)
-    predicted = tuple(
-        x
-        for pj in first_parts
-        for qk in second_parts
-        for x in (inst.embed_simple(qk, pj) if swap else inst.embed_simple(pj, qk))
-    )
+    # Column j * d2 + k of phi is the derived product of basis pair (j, k),
+    # and the same column of the predicted matrix is the scrambled grid
+    # outer(pj, qk).  In the swapped orientation the first sheet holds the
+    # column side, so that grid pairs qk (rows) with pj (columns).  Both
+    # matrices are read as integer rows, in the same order.
+    pairs = [(qk, pj) if swap else (pj, qk) for pj in first_parts for qk in second_parts]
+    predicted = inst.scramble @ Matrix.from_columns([_flat_outer(x, y) for x, y in pairs])
+    derived, predicted = _flattened(phi), _flattened(predicted)
     # An all-zero phi leaves no scale to extract, like an all-zero prediction.
-    lam = ZERO if is_zero_vector(derived) else proportionality_ratio(derived, predicted)
+    lam = ZERO if not any(derived.ints) else proportionality_ratio(derived, predicted)
     if lam is None:
         return report(False, swap=swap, reason="hidden products are not a single scale of the derived ones")
     if lam == 0:

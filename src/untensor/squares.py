@@ -25,7 +25,18 @@ from typing import Sequence
 
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
 from untensor.foliation import same_sheet
-from untensor.linalg import Subspace, Vector, is_zero_vector, kernel, proportionality_ratio, ray_generator, vadd, vscale
+from untensor.linalg import (
+    Scaled,
+    Subspace,
+    Vector,
+    is_zero_vector,
+    kernel,
+    proportionality_ratio,
+    ray_generator,
+    linear_combination,
+    vadd,
+    vscale,
+)
 from untensor.tensor_space import TensorSpace
 
 
@@ -159,47 +170,50 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
     if not plane.contains(a):
         raise PreconditionViolated("the corner rays do not brace the square: a is off the plane of b and c")
     p = next(row for row in plane.basis.rows if proportionality_ratio(a, row) is None)
-    x: Fraction | None = None
-    for _, slope, constant in inst.binary_restriction(a, p):
+    # The roots -constant / slope agree when the integer answers cross-multiply.
+    _, (slopes, ds), (constants, dc) = inst.binary_restriction(a, p)
+    first = None
+    for slope, constant in zip(slopes, constants):
         if slope == 0:
             if constant != 0:
                 raise Degenerate("a restricted quadric has a double root at a")
             continue
-        root = -constant / slope
-        if x is None:
-            x = root
-        elif x != root:
+        if first is None:
+            first = (slope, constant)
+        elif constant * first[0] != first[1] * slope:
             raise Degenerate("restricted quadrics disagree on the second ray")
-    if x is None:
+    if first is None:
         raise Degenerate("every quadric vanishes on the intersection plane")
-    ray = vadd(p, vscale(x, a))
-    u = ray_generator(ray)
-    s = vadd(vadd(a, b), c)
+    x = Fraction(-first[1] * ds, first[0] * dc)
+    u = ray_generator(linear_combination((p, a), (1, x)))
+    s = linear_combination((a, b, c), (1, 1, 1))
     t = common_root(inst.minor_values(s), inst.polar2_values(s, u))
     return Completion(vscale(t, u), "generic", t)
 
 
-def common_root(constants: Sequence[Fraction], slopes: Sequence[Fraction]) -> Fraction:
-    """The one t with constant + t * slope == 0 for every quadric.
+def common_root(constants: Scaled, slopes: Scaled) -> Fraction:
+    """The one t with constant + t * slope == 0 for every quadric, from
+    two integer answers of the oracle: t = -(q / Dq) / (p / Dp).
 
     Quadrics with slope 0 must have constant 0 and say nothing about t.
     A quadric that forbids every t, or two that disagree, raise
-    InconsistentSquare; when no quadric pins t, Degenerate.
+    InconsistentSquare; when no quadric pins t, Degenerate.  Two quadrics
+    agree when their (q, p) cross-multiply, so the one Fraction built is t.
     """
-    t: Fraction | None = None
-    for q, p in zip(constants, slopes):
+    (qs, dq), (ps, dp) = constants, slopes
+    first = None
+    for q, p in zip(qs, ps):
         if p == 0:
             if q != 0:
                 raise InconsistentSquare("a quadric forbids every scale on the candidate ray")
             continue
-        cand = -q / p
-        if t is None:
-            t = cand
-        elif t != cand:
+        if first is None:
+            first = (q, p)
+        elif q * first[1] != first[0] * p:
             raise InconsistentSquare("quadrics disagree on the completion scale")
-    if t is None:
+    if first is None:
         raise Degenerate("every quadric is indifferent to the scale; cannot pin d")
-    return t
+    return Fraction(-first[0] * dp, first[1] * dq)
 
 
 def complete_square(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence) -> Vector:

@@ -292,10 +292,10 @@ def suite_bilinearity(trials: int, seed: int, *, fault: bool = False) -> list[Pr
         )
         for t in range(trials):
             try:
-                x = linear_combination(recon.basis_e, _rand_int_vector(rng, d1, 5, nonzero=False))
-                xp = linear_combination(recon.basis_e, _rand_int_vector(rng, d1, 5, nonzero=False))
-                y = linear_combination(recon.basis_f, _rand_int_vector(rng, d2, 5, nonzero=False))
-                yp = linear_combination(recon.basis_f, _rand_int_vector(rng, d2, 5, nonzero=False))
+                x = linear_combination(recon.basis_e, _rand_int_vector(rng, d1, 5, nonzero=False)).fractions()
+                xp = linear_combination(recon.basis_e, _rand_int_vector(rng, d1, 5, nonzero=False)).fractions()
+                y = linear_combination(recon.basis_f, _rand_int_vector(rng, d2, 5, nonzero=False)).fractions()
+                yp = linear_combination(recon.basis_f, _rand_int_vector(rng, d2, 5, nonzero=False)).fractions()
                 lam = _rand_fraction(rng, 5)
                 if t % 2 == 0:
                     got = recon.derived_product(vadd(x, vscale(lam, xp)), y)

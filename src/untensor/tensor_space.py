@@ -13,22 +13,32 @@ Recovery code is limited to those three.  `embed_simple` and
 `hidden_coordinates` reach behind the scramble and exist for instance
 generation, verification, and tests only.
 
-Every oracle evaluation goes through one signed-minor polar form.  The
-minors are stored once as (a, b, c, d, sign) on flat grid indices, with
-sign -1 only on the minor flipped by `inject_quadric_fault`, and
+Every oracle evaluation goes through one signed-minor polar form,
+`_polar2`, which builds the list of
 
     2*B_k(u, w) = u_a w_d + u_d w_a - sign * (u_b w_c + u_c w_b)
 
-on hidden coordinates u, w.  `minor_values` is Q_k = 1/2 * 2*B_k(v, v),
-`is_simple` asks that every 2*B_k(v, v) vanish, `polar2_values` is
-2*B_k(x, y), `binary_restriction(d1, d2)` is (Q_k(d1), 2*B_k(d1, d2),
-Q_k(d2)), and row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the
-columns of the adjugate.  That row is one integer combination of the four
-adjugate rows a, b, c, d of minor k, with the hidden coordinates of v as
-coefficients, and the rows reach `linalg` as integers over one common
-denominator (`Matrix.from_integer_rows`): no Fraction is built for them
-unless a caller reads `rows`, which no recovery path does.  None of these
-public methods calls another, so each query bumps `oracle_calls` once.
+over all minors k, on hidden coordinates u, w.  The minors are stored once
+as (a, b, c, d, sign) on flat grid indices, with sign -1 only on the minor
+flipped by `inject_quadric_fault`.  The oracle answers in the `Scaled`
+form of `linalg`, integers over one positive denominator, and takes its
+vector arguments in either form:
+
+* `minor_values(v)` is Q_k(v) = 2*B_k(v, v) / 2, as (2*B_k(u, u), 2 q^2);
+* `is_simple(v)` asks that every 2*B_k(v, v) vanish;
+* `polar2_values(x, y)` is 2*B_k(x, y), as (2*B_k(u, w), q_x q_y);
+* `binary_restriction(d1, d2)` is the three answers Q(d1), 2*B(d1, d2)
+  and Q(d2), each a `Scaled` over all quadrics;
+* row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the columns of
+  the adjugate.  That row is one integer combination of the four adjugate
+  rows a, b, c, d of minor k, with the hidden coordinates of v as
+  coefficients, and the rows reach `linalg` as integers over one common
+  denominator (`Matrix.from_integer_rows`).
+
+Here u / q are the scaled hidden coordinates of v (see below).  No Fraction
+is built for an answer unless a caller asks for it (`Scaled.fractions`,
+`Matrix.rows`), which no recovery path does.  None of these public methods
+calls another, so each query bumps `oracle_calls` once.
 
 The hidden coordinates come from the adjugate of the scramble, which
 multiplies every quadric value by the fixed positive constant
@@ -42,9 +52,10 @@ The adjugate is stored once as integer rows over one positive common
 denominator (1 for an integer scramble), taken from the integer rows of
 the inverse that eliminating the scramble yields, so the inverse's
 Fractions are never built for it.  An oracle query clears the
-denominators of its input vector and evaluates the form with integer
-arithmetic; Fractions are built only for the values it returns, and no
-per-instance cache of unscrambled vectors is kept.
+denominators of its input vector, once, in `_scaled_hidden`, evaluates the
+form with integer arithmetic and keeps no per-instance cache of
+unscrambled vectors.  `hidden_coordinates` reads the same integers, so the
+grids that verification inspects are integer matrices as well.
 """
 
 from __future__ import annotations
@@ -60,11 +71,11 @@ from typing import Sequence
 from untensor.errors import DimensionMismatch
 from untensor.linalg import (
     Matrix,
+    Scaled,
     Vector,
     ZERO,
     factor_rank_one,
     format_scalar,
-    from_integers,
     inverse_and_determinant,
     is_zero_vector,
     parse_vector,
@@ -207,6 +218,7 @@ class TensorSpace:
         g = gcd(den, *[x for row in rows for x in row])
         self._adj_den = den // g
         self._adj_rows = tuple([x // g for x in row] for row in rows)
+        self._det = det
         self._det2 = det * det
         self.seed = seed
         self.sampler_range = sampler_range
@@ -244,55 +256,55 @@ class TensorSpace:
             )
         return self._quadrics
 
-    def _scaled_hidden(self, v: Sequence[Fraction]) -> tuple[list[int], int]:
+    def _scaled_hidden(self, v: Sequence) -> tuple[list[int], int]:
         """adjugate * v as (u, q): integers u over one positive denominator q.
 
-        u / q are the hidden coordinates of v scaled by det(scramble).  The
-        integer adjugate rows make this cheap enough to recompute on every
-        query, so no per-instance cache of unscrambled vectors is kept.  Every
-        query passes here first, so a vector of the wrong length is refused
-        here, before it counts as an oracle call.
+        v may be a `Scaled` or a sequence of Fractions; this is the one
+        place that clears it.  u / q are the hidden coordinates of v scaled
+        by det(scramble).  The integer adjugate rows make this cheap enough
+        to recompute on every query, so no per-instance cache of
+        unscrambled vectors is kept.  Every query passes here first, so a
+        vector of the wrong length is refused here, before it counts as an
+        oracle call.
         """
-        if len(v) != self.dim:
-            raise DimensionMismatch.of(self.dim, len(v))
         ints, den = to_integers(v)
+        if len(ints) != self.dim:
+            raise DimensionMismatch.of(self.dim, len(ints))
         return [sum(map(mul, row, ints)) for row in self._adj_rows], den * self._adj_den
 
-    def _polar2(self, u: Sequence[int], w: Sequence[int]):
-        """Yield 2*B_k(u, w) for every minor k, over the integers.
+    def _polar2(self, u: Sequence[int], w: Sequence[int]) -> list[int]:
+        """2*B_k(u, w) for every minor k, over the integers.
 
         u and w are hidden coordinates (scaled by det, over their own
         denominators); minor k = (a, b, c, d, sign) reads
-        x_a x_d - sign * x_b x_c, so 2*B_k(u, u) is twice its value and
-        always even.
+        x_a x_d - sign * x_b x_c, so 2*B_k(u, u) is twice its value.
         """
-        for a, b, c, d, sign in self._minors:
-            yield u[a] * w[d] + u[d] * w[a] - sign * (u[b] * w[c] + u[c] * w[b])
+        return [u[a] * w[d] + u[d] * w[a] - sign * (u[b] * w[c] + u[c] * w[b]) for a, b, c, d, sign in self._minors]
 
-    def minor_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def minor_values(self, v: Sequence) -> Scaled:
         """All quadric values at v, scaled by the fixed constant det^2."""
         u, q = self._scaled_hidden(v)
         self.stats.oracle_calls += 1
-        return from_integers([x // 2 for x in self._polar2(u, u)], q * q)
+        return Scaled(self._polar2(u, u), 2 * q * q)
 
-    def quadric_values(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def quadric_values(self, v: Sequence) -> tuple[Fraction, ...]:
         """Exact values of every quadric at v."""
-        return tuple(x / self._det2 for x in self.minor_values(v))
+        return tuple(x / self._det2 for x in self.minor_values(v).fractions())
 
-    def is_simple(self, v: Sequence[Fraction]) -> bool:
+    def is_simple(self, v: Sequence) -> bool:
         """Whether v lies on the common zero locus of all the quadrics."""
         u, _ = self._scaled_hidden(v)
         self.stats.oracle_calls += 1
         return not any(self._polar2(u, u))
 
-    def polar2_values(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def polar2_values(self, x: Sequence, y: Sequence) -> Scaled:
         """2*B_k(x, y) for every quadric, scaled by det^2."""
         u, qu = self._scaled_hidden(x)
         w, qw = self._scaled_hidden(y)
         self.stats.oracle_calls += 1
-        return from_integers(list(self._polar2(u, w)), qu * qw)
+        return Scaled(self._polar2(u, w), qu * qw)
 
-    def polar2_rows(self, v: Sequence[Fraction]) -> Matrix:
+    def polar2_rows(self, v: Sequence) -> Matrix:
         """The stacked linear functionals w -> 2*B_k(v, w), one row per quadric.
 
         Column p holds the form against column p of the adjugate, so for
@@ -312,18 +324,16 @@ class TensorSpace:
             )
         return Matrix.from_integer_rows(rows, q * self._adj_den, self.dim)
 
-    def binary_restriction(
-        self, d1: Sequence[Fraction], d2: Sequence[Fraction]
-    ) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """Each quadric restricted to span{d1, d2} as (A, B2, C) with
-        Q(x d1 + y d2) proportional to A x^2 + B2 xy + C y^2."""
+    def binary_restriction(self, d1: Sequence, d2: Sequence) -> tuple[Scaled, Scaled, Scaled]:
+        """Every quadric restricted to span{d1, d2}: (A, B2, C) with
+        Q_k(x d1 + y d2) proportional to A_k x^2 + B2_k xy + C_k y^2, the
+        answers of minor_values(d1), polar2_values(d1, d2) and
+        minor_values(d2) from one query."""
         u, qu = self._scaled_hidden(d1)
         w, qw = self._scaled_hidden(d2)
         self.stats.oracle_calls += 1
-        return tuple(
-            (Fraction(qa // 2, qu * qu), Fraction(qb, qu * qw), Fraction(qc // 2, qw * qw))
-            for qa, qb, qc in zip(self._polar2(u, u), self._polar2(u, w), self._polar2(w, w))
-        )
+        polar2 = self._polar2
+        return Scaled(polar2(u, u), 2 * qu * qu), Scaled(polar2(u, w), qu * qw), Scaled(polar2(w, w), 2 * qw * qw)
 
     def sample_simple(self, rng: Random) -> Vector:
         """A random member of S: the image of a random nonzero integer grid."""
@@ -346,13 +356,14 @@ class TensorSpace:
         flat = tuple(a * b for a in alpha for b in beta)
         return self.scramble.apply(flat)
 
-    def hidden_coordinates(self, v: Sequence[Fraction]) -> Matrix:
-        """Unscrambled m-by-n grid of v.  Verification and test use only."""
-        if len(v) != self.dim:
-            raise DimensionMismatch.of(self.dim, len(v))
-        u = self.scramble_inverse.apply(v)
-        n = self.shape.n
-        return Matrix(tuple(tuple(u[i * n : (i + 1) * n]) for i in range(self.shape.m)), n)
+    def hidden_coordinates(self, v: Sequence) -> Matrix:
+        """Unscrambled m-by-n grid of v, as integer rows: the scaled hidden
+        coordinates u / q divided by det.  Verification and test use only."""
+        u, q = self._scaled_hidden(v)
+        n, det = self.shape.n, self._det
+        if det.denominator != 1:
+            u = [x * det.denominator for x in u]
+        return Matrix.from_integer_rows([u[i * n : (i + 1) * n] for i in range(self.shape.m)], q * det.numerator, n)
 
     def hidden_rank(self, v: Sequence[Fraction]) -> int:
         return self.hidden_coordinates(v).rank()

@@ -308,7 +308,7 @@ class TestSheetsThrough:
         polar2_rows = ident22.polar2_rows
 
         def recording(v):
-            fetched.append(tuple(v))
+            fetched.append(linalg.to_integers(v).fractions())
             return polar2_rows(v)
 
         ident22.polar2_rows = recording
@@ -335,7 +335,7 @@ class TestSheetsThrough:
             return is_simple(v)
 
         def recording_rows(v):
-            fetched.append((polar2_rows(v), tuple(v)))
+            fetched.append((polar2_rows(v), linalg.to_integers(v).fractions()))
             return fetched[-1][0]
 
         def recording_kernel(m):

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from untensor.errors import SheetNotPreserved
+from untensor.errors import DimensionMismatch, PreconditionViolated, SheetNotPreserved
 from untensor.functors import (
     LinearMorphism,
     VecPairMorphism,
@@ -71,6 +71,17 @@ class TestTensorMorphism:
         inst_a, pm, inst_b = compatible_pair((3, 3), 2)
         f = tensor_morphism(inst_a, inst_b, pm)
         assert preserves_cone_empirically(f, Random(3), 50)
+
+    @pytest.mark.parametrize("side", ["g", "h", "both"])
+    def test_rejects_singular_factor_maps(self, side):
+        inst_a, pm, inst_b = compatible_pair((2, 3), 3)
+        singular = {"g": Matrix([[1, 2], [2, 4]]), "h": Matrix([[1, 0, 1], [0, 1, 1], [1, 1, 2]])}
+        maps = {"g": pm.g, "h": pm.h} | ({side: singular[side]} if side != "both" else singular)
+        with pytest.raises(PreconditionViolated, match="factor maps must be invertible"):
+            tensor_morphism(inst_a, inst_b, VecPairMorphism(maps["g"], maps["h"]))
+        # The shapes are checked before invertibility.
+        with pytest.raises(DimensionMismatch):
+            tensor_morphism(inst_a, inst_b, VecPairMorphism(maps["h"], maps["g"]))
 
 
 class TestCertification:

@@ -18,7 +18,6 @@ from untensor.linalg import (
     determinant,
     factor_rank_one,
     format_scalar,
-    fraction_sqrt_exact,
     integer_sqrt_exact,
     inverse_and_determinant,
     kernel,
@@ -133,7 +132,17 @@ class TestMatrixForms:
         twin = data.draw(integer_form(m))
         assert m._ints is None and twin._rows is None
         assert twin == m and m == twin and hash(twin) == hash(m)
+        # Equality and hashing read the integer rows in lowest terms.
+        assert twin._rows is None
         assert twin.rows == m.rows and twin.shape == m.shape
+
+    @given(rational_matrices(), st.data())
+    def test_integer_forms_compare_without_fractions(self, m, data):
+        a, b = data.draw(integer_form(m)), data.draw(integer_form(m))
+        doubled = data.draw(integer_form(m.scale(2)))
+        assert a == b and hash(a) == hash(b)
+        assert (a == doubled) == all(x == 0 for row in m.rows for x in row)
+        assert a._rows is None and b._rows is None and doubled._rows is None
 
     @given(either_form(), st.data())
     def test_matmul(self, a, data):
@@ -256,7 +265,7 @@ class TestIntegerCoreAgainstReference:
             for row, c in zip(reduced, pivots):
                 x[c] = row[m.ncols]
             expected.append(tuple(x))
-        assert _solve_columns(m, columns) == expected
+        assert [x if x is None else x.fractions() for x in _solve_columns(m, columns)] == expected
 
     @given(rational_matrices(), st.data())
     def test_apply_and_linear_combination(self, m, data):
@@ -271,7 +280,7 @@ class TestIntegerCoreAgainstReference:
             expected = [F(0)] * m.ncols
             for c, row in zip(coeffs, m.rows):
                 expected = [x + c * y for x, y in zip(expected, row)]
-            assert linear_combination(m.rows, coeffs) == tuple(expected)
+            assert linear_combination(m.rows, coeffs).fractions() == tuple(expected)
 
     @given(rational_matrices(), st.data())
     def test_meet_kernel(self, a, data):
@@ -374,7 +383,7 @@ class TestKernel:
         assert Subspace.full(inst.dim).meet_kernel(rows) == tangent
         assert rows._rows is None
         # Column p of the polar rows is the polar form of v against e_p.
-        columns = [inst.polar2_values(v, e) for e in Matrix.identity(inst.dim).rows]
+        columns = [inst.polar2_values(v, e).fractions() for e in Matrix.identity(inst.dim).rows]
         assert rows.rows == tuple(zip(*columns))
 
 
@@ -421,7 +430,7 @@ class TestSubspace:
         v = vadd(vscale(2, (1, 0, 2)), vscale(-1, (0, 1, 3)))
         assert s.contains(v)
         coords = s.coordinates(v)
-        assert linear_combination(s.basis.rows, coords) == v
+        assert linear_combination(s.basis.rows, coords).fractions() == v
         assert not s.contains((0, 0, 1))
         assert s.coordinates((0, 0, 1)) is None
 
@@ -452,11 +461,6 @@ class TestScalars:
         assert integer_sqrt_exact(50) is None
         with pytest.raises(ValueError):
             integer_sqrt_exact(-1)
-
-    def test_fraction_sqrt(self):
-        assert fraction_sqrt_exact(F(9, 4)) == F(3, 2)
-        assert fraction_sqrt_exact(F(2)) is None
-        assert fraction_sqrt_exact(F(-4)) is None
 
     @given(fractions)
     def test_serialization_round_trip(self, q):

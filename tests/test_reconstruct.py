@@ -7,7 +7,7 @@ from untensor import linalg
 from untensor.errors import MembershipViolated, NotSimpleVector, RankDeficient
 from untensor.linalg import Matrix, Subspace, is_zero_vector, linear_combination, vadd, vscale
 from untensor.reconstruct import Reconstruction, recover_factors, verify_round_trip
-from untensor.tensor_space import build_instance, generate_instance
+from untensor.tensor_space import build_instance, generate_instance, instance_from_payload, instance_payload
 
 
 @pytest.fixture
@@ -208,6 +208,17 @@ class TestProductMatrix:
             repeated.product_matrix
         with pytest.raises(RankDeficient):
             repeated.product_matrix_inverse
+
+    @pytest.mark.parametrize("seed,lam", [(4, "-36"), (7, "3"), (11, "7")])
+    def test_phi_stays_integer_through_recovery_and_verification(self, seed, lam):
+        # load -> sheets -> product matrix -> round trip builds no Fraction row of phi
+        inst = instance_from_payload(instance_payload(generate_instance((3, 3), seed, pointed=True)))
+        recon = recover_factors(inst, Random(0))
+        phi = recon.product_matrix
+        report = verify_round_trip(inst, recon)
+        assert phi._rows is None
+        assert report.success and report.to_payload()["lambda"] == lam
+        assert (report.oracle_calls, report.samples_used) == (55, 0)
 
     def test_recovery_leaves_the_inverse_unbuilt(self, monkeypatch):
         inverted = []

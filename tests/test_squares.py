@@ -5,7 +5,7 @@ import pytest
 
 from untensor import squares
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.linalg import Subspace, proportionality_ratio, vadd, vscale
+from untensor.linalg import Scaled, Subspace, proportionality_ratio, vadd, vscale
 from untensor.squares import Square, complete_square, complete_square_details, is_square
 from untensor.tensor_space import build_instance, generate_instance
 
@@ -212,7 +212,8 @@ class TestGenericFailures:
     )
     def test_root_step_degenerate(self, corners, monkeypatch, forms):
         inst, a, b, c = corners
-        monkeypatch.setattr(inst, "binary_restriction", lambda *args: tuple(tuple(F(x) for x in f) for f in forms))
+        # The three answers (A, B2, C), each over all quadrics.
+        monkeypatch.setattr(inst, "binary_restriction", lambda *args: tuple(Scaled(list(x), 1) for x in zip(*forms)))
         with pytest.raises(Degenerate):
             complete_square_details(inst, a, b, c)
 
@@ -226,7 +227,7 @@ class TestGenericFailures:
     )
     def test_scale_step(self, corners, monkeypatch, constants, slopes, error):
         inst, a, b, c = corners
-        monkeypatch.setattr(inst, "minor_values", lambda v: tuple(map(F, constants)))
-        monkeypatch.setattr(inst, "polar2_values", lambda x, y: tuple(map(F, slopes)))
+        monkeypatch.setattr(inst, "minor_values", lambda v: Scaled(list(constants), 1))
+        monkeypatch.setattr(inst, "polar2_values", lambda x, y: Scaled(list(slopes), 1))
         with pytest.raises(error):
             complete_square_details(inst, a, b, c)

@@ -4,11 +4,13 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import untensor
 from untensor import linalg
 from untensor.errors import DimensionMismatch
-from untensor.linalg import Matrix, is_zero_vector, vadd, vector, vscale
+from untensor.linalg import Matrix, Scaled, is_zero_vector, to_integers, vadd, vector, vscale
 from untensor.reconstruct import recover_factors, verify_round_trip
 from untensor.tensor_space import (
     FactorShape,
@@ -184,15 +186,63 @@ class TestQuadricConsistency:
                     v = vector([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(inst.dim)])
                 w = vector([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(inst.dim)])
                 reference = [q.evaluate(v) for q in quadrics]
-                assert [x / det2 for x in inst.minor_values(v)] == reference
+                assert [x / det2 for x in inst.minor_values(v).fractions()] == reference
                 assert list(inst.quadric_values(v)) == reference
                 assert inst.is_simple(v) == all(x == 0 for x in reference)
                 on_cone += inst.is_simple(v)
                 polar = inst.polar2_values(v, w)
-                assert [x / det2 for x in polar] == [2 * q.polarize(v, w) for q in quadrics]
-                assert inst.polar2_rows(v).apply(w) == polar
-                assert inst.binary_restriction(v, w) == tuple(zip(inst.minor_values(v), polar, inst.minor_values(w)))
+                assert [x / det2 for x in polar.fractions()] == [2 * q.polarize(v, w) for q in quadrics]
+                assert inst.polar2_rows(v).apply(w) == polar.fractions()
+                assert inst.binary_restriction(v, w) == (inst.minor_values(v), polar, inst.minor_values(w))
             assert 0 < on_cone < 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_integer_answers_equal_gram_values(self, data):
+        """The `Scaled` answers of minor_values, polar2_values and
+        binary_restriction, divided by det^2, against the Gram matrices of
+        `quadrics`: inputs in either form, determinants of either sign,
+        p/q scrambles and sign-faulted minors."""
+        shape = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+        rows = [list(row) for row in generate_instance(shape, data.draw(st.integers(0, 10**6))).scramble.rows]
+        negative = data.draw(st.booleans())
+        if (Matrix(rows).det() < 0) != negative:
+            rows[0], rows[1] = rows[1], rows[0]
+        if data.draw(st.booleans()):
+            rows = [[x / (i + 2) for x in row] for i, row in enumerate(rows)]
+        inst = build_instance(shape, Matrix(rows))
+        if data.draw(st.booleans()):
+            inst = inject_quadric_fault(inst, data.draw(st.integers(0, inst.quadric_count - 1)))
+        det2 = inst.scramble.det() ** 2
+        assert (inst.scramble.det() < 0) == negative
+
+        fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+        def point():
+            if data.draw(st.booleans()):
+                return inst.sample_simple(Random(data.draw(st.integers(0, 10**6))))
+            return vector(data.draw(st.lists(fractions, min_size=inst.dim, max_size=inst.dim)))
+
+        def form(v):
+            """v as Fractions, or as a Scaled over a multiple of its denominator."""
+            if not data.draw(st.booleans()):
+                return v
+            ints, den = to_integers(v)
+            k = data.draw(st.integers(1, 5))
+            return Scaled([k * x for x in ints], k * den)
+
+        def values(answer):
+            assert type(answer) is Scaled and answer.den > 0 and len(answer.ints) == inst.quadric_count
+            return [x / det2 for x in answer.fractions()]
+
+        v, w = point(), point()
+        q_v = [q.evaluate(v) for q in inst.quadrics]
+        q_w = [q.evaluate(w) for q in inst.quadrics]
+        polar = [2 * q.polarize(v, w) for q in inst.quadrics]
+        assert values(inst.minor_values(form(v))) == q_v
+        assert values(inst.polar2_values(form(v), form(w))) == polar
+        assert [values(x) for x in inst.binary_restriction(form(v), form(w))] == [q_v, polar, q_w]
+        assert inst.is_simple(form(v)) == (not any(q_v))
 
     def test_polarization_identity(self):
         inst = generate_instance((2, 3), 23)
@@ -284,6 +334,7 @@ class TestOracleBoundary:
             "_adj_rows",
             "_adj_cols",
             "_adj_den",
+            "_det",
             "_det2",
             "_polar2",
             "_scaled_hidden",
