@@ -55,6 +55,7 @@ from untensor.linalg import (
     proportionality_ratio,
     ray_generator,
     linear_combination,
+    to_integers,
     vadd,
 )
 from untensor.tensor_space import TensorSpace
@@ -157,12 +158,18 @@ def _split_rays(inst: TensorSpace, d1: Sequence, d2: Sequence) -> tuple[Vector, 
     """The two rays of S in span{d1, d2}, as sorted canonical generators
     (first nonzero coordinate 1).  Every quadric restricted to the plane
     must be a multiple of one binary quadratic A x^2 + B2 xy + C y^2 with
-    two distinct rational roots; anything else raises Degenerate.
+    two distinct rational roots; anything else raises Degenerate.  It is
+    the one root test for a plane of the cone: `cross_rays` and
+    `sheets_through` split planes with it, and
+    `squares.complete_square_details` takes the ray of d as the root of
+    span{a, p} that is not the ray of a.
 
     The three answers of `binary_restriction` have their own denominators
     DA, DB and DC; multiplying each form by DA * DB * DC > 0 makes it
     integral without moving its roots, so every test below is on integers.
+    d1 and d2 are cleared to integers once, for the query and both rays.
     """
+    d1, d2 = to_integers(d1), to_integers(d2)
     (a_ints, da), (b_ints, db), (c_ints, dc) = inst.binary_restriction(d1, d2)
     forms = [(a * db * dc, b * da * dc, c * da * db) for a, b, c in zip(a_ints, b_ints, c_ints) if a or b or c]
     if not forms:

@@ -36,7 +36,6 @@ from untensor.errors import (
 from untensor.linalg import (
     Matrix,
     Scaled,
-    Subspace,
     Vector,
     _solve_columns,
     frac,
@@ -154,13 +153,18 @@ def recovered_pair(inst: TensorSpace, recon: Reconstruction) -> tuple[Sheet, She
     return (recon.sheet_w1, recon.sheet_w2, recon.w0)
 
 
-def _coordinate_map(basis: Sequence[Vector], images: Sequence[Vector]) -> Matrix:
+def _coordinate_map(basis: Sequence[Vector], images: Sequence[Vector]) -> Matrix | None:
     """The matrix whose columns are the coordinates of the images in the
-    basis, from one elimination; an image outside its span raises."""
+    basis of a sheet, or None unless the images span that sheet.
+
+    The basis is independent, so the coordinates are unique; every image
+    has them exactly when the images lie in the sheet, and the matrix then
+    has full row rank exactly when they span it."""
     coords = _solve_columns(Matrix.from_columns(basis), images)
     if None in coords:
-        raise SheetNotPreserved("image vector escapes the expected sheet")
-    return Matrix.from_columns(coords)
+        return None
+    part = Matrix.from_columns(coords)
+    return part if part.rank() == len(basis) else None
 
 
 def _factor_maps(
@@ -173,7 +177,11 @@ def _factor_maps(
     """Restrictions of f to the recovered sheets, in the recon bases.
 
     Returns (f1, f2, crossed); crossed means the image of the first source
-    sheet is the second target sheet.
+    sheet is the second target sheet.  The images of a source sheet's basis
+    map onto a target sheet exactly when `_coordinate_map` finds their
+    coordinates there with full row rank, so the sheet test and the
+    restriction are one solve and one rank.  Given full row rank, a
+    restriction is invertible exactly when it is square.
     """
     image_w0 = f.apply(recon_s.w0)
     if require_pointed:
@@ -182,30 +190,21 @@ def _factor_maps(
     elif proportionality_ratio(recon_t.w0, image_w0) is None:
         raise PreconditionViolated("f does not carry the base ray to the target base ray")
 
-    dim = f.target.dim
     images_e = [f.apply(e) for e in recon_s.basis_e]
     images_f = [f.apply(v) for v in recon_s.basis_f]
-    image_first = Subspace(images_e, dim)
-    image_second = Subspace(images_f, dim)
-    if image_first == recon_t.sheet_w1.subspace:
-        crossed = False
-        if image_second != recon_t.sheet_w2.subspace:
-            raise SheetNotPreserved("second sheet image is not the matching target sheet")
-        targets = (recon_t.basis_e, recon_t.basis_f)
-    elif image_first == recon_t.sheet_w2.subspace:
-        crossed = True
-        if image_second != recon_t.sheet_w1.subspace:
-            raise SheetNotPreserved("second sheet image is not the matching target sheet")
-        targets = (recon_t.basis_f, recon_t.basis_e)
-    else:
-        raise SheetNotPreserved("first sheet image is not a sheet of the target pair")
-
+    targets = (recon_t.basis_e, recon_t.basis_f)
     f1 = _coordinate_map(targets[0], images_e)
+    crossed = f1 is None
+    if crossed:
+        targets = targets[::-1]
+        f1 = _coordinate_map(targets[0], images_e)
+        if f1 is None:
+            raise SheetNotPreserved("first sheet image is not a sheet of the target pair")
     f2 = _coordinate_map(targets[1], images_f)
-    for part in (f1, f2):
-        # rank == nrows == ncols exactly when the restriction is invertible
-        if part.rank() < max(part.shape):
-            raise RankDeficient("a restricted factor map is singular")
+    if f2 is None:
+        raise SheetNotPreserved("second sheet image is not the matching target sheet")
+    if len(images_e) != f1.nrows or len(images_f) != f2.nrows:
+        raise RankDeficient("a restricted factor map is singular")
     return f1, f2, crossed
 
 

@@ -6,11 +6,11 @@ one foliation and the column pairs in the other.  Three corners pin the
 fourth uniquely.  The tangent spaces of b and c meet in a plane whose
 trace on the cone is two rays: the ray of a, and the ray of d, where the
 sheet through b (in the foliation of {a, c}) crosses the sheet through c
-(in the foliation of {a, b}).  Since a is known, the second ray is the
-other root of one binary restriction, found by a linear solve.  The scale
-along that ray is fixed by demanding the total sum stay on the cone,
-which is a linear condition because the quadratic term of every quadric
-dies on the ray.
+(in the foliation of {a, b}).  `foliation._split_rays` splits the plane
+into those two rays, and d lies on the one that is not the ray of a.  The
+scale along that ray is fixed by demanding the total sum stay on the
+cone, which is a linear condition because the quadratic term of every
+quadric dies on the ray.
 
 Completion dispatches the proportional special cases first, since for
 those the total-sum condition is vacuous and the answer is forced by
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.foliation import same_sheet
+from untensor.foliation import _split_rays, same_sheet
 from untensor.linalg import (
     Scaled,
     Subspace,
@@ -32,7 +32,6 @@ from untensor.linalg import (
     is_zero_vector,
     kernel,
     proportionality_ratio,
-    ray_generator,
     linear_combination,
     vadd,
     vscale,
@@ -126,15 +125,16 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
 
     Generic path: the tangent spaces of b and c meet in a plane that must
     contain a.  With p a basis vector of the plane not proportional to a,
-    every quadric restricts to Q_k(p + x a) = Q_k(p) + x * 2 B_k(a, p),
-    because Q_k(a) = 0; all quadrics must agree on the root x, and
-    p + x a spans the ray of d.  With u the canonical generator of that
-    ray (first nonzero coordinate 1) and s = a + b + c, every quadric
-    imposes Q_k(s) + t * 2 B_k(s, u) = 0 on d = t u, and the system must
-    have one consistent solution.
+    `_split_rays(a, p)` splits the plane into two rays.  Since Q_k(a) = 0,
+    every quadric restricts to (0, 2 B_k(a, p), Q_k(p)), so the rays are
+    those of a and of 2 B(a, p) p - Q(p) a, and the second is the ray of
+    d.  With u its canonical generator (first nonzero coordinate 1) and
+    s = a + b + c, every quadric imposes Q_k(s) + t * 2 B_k(s, u) = 0 on
+    d = t u, and the system must have one consistent solution.
 
-    A plane of dimension other than 2, quadrics that all vanish on it, a
-    double root at a, or quadrics disagreeing on x raise Degenerate; a
+    A plane of dimension other than 2 raises Degenerate, and so does every
+    failure of `_split_rays`: quadrics that all vanish on the plane, that
+    are not proportional there, or that do not split into two rays.  A
     plane missing a raises PreconditionViolated.  b is the anchor of the
     plane, so c is only restricted to T(b).
     """
@@ -170,22 +170,7 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
     if not plane.contains(a):
         raise PreconditionViolated("the corner rays do not brace the square: a is off the plane of b and c")
     p = next(row for row in plane.basis.rows if proportionality_ratio(a, row) is None)
-    # The roots -constant / slope agree when the integer answers cross-multiply.
-    _, (slopes, ds), (constants, dc) = inst.binary_restriction(a, p)
-    first = None
-    for slope, constant in zip(slopes, constants):
-        if slope == 0:
-            if constant != 0:
-                raise Degenerate("a restricted quadric has a double root at a")
-            continue
-        if first is None:
-            first = (slope, constant)
-        elif constant * first[0] != first[1] * slope:
-            raise Degenerate("restricted quadrics disagree on the second ray")
-    if first is None:
-        raise Degenerate("every quadric vanishes on the intersection plane")
-    x = Fraction(-first[1] * ds, first[0] * dc)
-    u = ray_generator(linear_combination((p, a), (1, x)))
+    u = next(g for g in _split_rays(inst, a, p) if proportionality_ratio(a, g) is None)
     s = linear_combination((a, b, c), (1, 1, 1))
     t = common_root(inst.minor_values(s), inst.polar2_values(s, u))
     return Completion(vscale(t, u), "generic", t)

@@ -111,7 +111,7 @@ def _rand_independent_of(rng: Random, base: Vector, bound: int = 9) -> Vector:
 def _rand_invertible(rng: Random, n: int, bound: int = 3) -> Matrix:
     while True:
         m = Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-        if m.det() != 0:
+        if m.rank() == n:
             return m
 
 

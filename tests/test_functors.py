@@ -19,7 +19,7 @@ from untensor.functors import (
     recovered_pair,
     tensor_morphism,
 )
-from untensor.linalg import Matrix, vscale
+from untensor.linalg import Matrix, kernel, vscale
 from untensor.reconstruct import recover_factors
 from untensor.tensor_space import TensorSpace, build_instance, generate_instance, inject_quadric_fault
 
@@ -236,6 +236,30 @@ class TestDecomposition:
         b1, b2 = induced_factor_maps(second, recon_b, recon_c)
         c1, c2 = induced_factor_maps(composite, recon_a, recon_c)
         assert c1 == b1 @ a1 and c2 == b2 @ a2
+
+    @pytest.mark.parametrize(
+        "fixed,message",
+        [("w0", "first sheet"), ("basis_e", "second sheet"), ("collapse", "second sheet")],
+    )
+    def test_rejects_maps_that_move_a_sheet(self, fixed, message):
+        # f = I + u zᵀ fixes every vector orthogonal to z.  Fixing only w0
+        # moves the first sheet off both target sheets; fixing the whole
+        # first sheet moves the second one.  With u in the second sheet and
+        # z·u = -1, f kills u: it maps the second sheet into itself but not
+        # onto it.
+        inst = generate_instance((2, 3), 5, pointed=True)
+        recon = recover_factors(inst, Random(1))
+        vectors = [recon.w0] if fixed == "w0" else recon.basis_e
+        z = kernel(Matrix([list(v) for v in vectors])).basis.rows[0]
+        u = tuple(range(1, inst.dim + 1))
+        if fixed == "collapse":
+            u = recon.basis_f[0]
+            z = vscale(-1 / sum(a * b for a, b in zip(z, u)), z)
+        rows = [[int(i == j) + u[i] * z[j] for j in range(inst.dim)] for i in range(inst.dim)]
+        f = LinearMorphism(inst, inst, Matrix(rows))
+        with pytest.raises(SheetNotPreserved, match=message) as excinfo:
+            induced_factor_maps(f, recon, recon)
+        assert excinfo.value.crossed_pair is None
 
 
 class TestNaturality:
