@@ -42,7 +42,8 @@ a system to a subspace with a known basis K: it eliminates m·K, which has
 one column per basis vector, instead of m itself.
 
 Scalars serialize as "p/q" strings ("p" when the denominator is 1) and
-round-trip exactly.
+round-trip exactly.  `parse_integers` and `parse_matrix` read them from
+outside input straight into integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -85,31 +86,61 @@ def format_scalar(value: Fraction) -> str:
 _SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_scalar(value) -> Fraction:
-    """Read a scalar from outside input: a JSON integer, or a "p" or "p/q" string.
+def _parse_ratio(value) -> tuple[int, int]:
+    """Read a scalar from outside input as (p, q), q > 0: a JSON integer, or
+    a "p" or "p/q" string.
 
-    Anything else is refused before it reaches Fraction, which would also
+    Anything else is refused before it reaches int, as Fraction would also
     accept decimal exponents (spending unbounded time on "1e100000000"),
     read a JSON boolean as 0 or 1, and read a JSON float such as 0.1 as its
-    binary approximation.
+    binary approximation.  A "p/0" raises ZeroDivisionError, with the
+    message Fraction gives it.
     """
     if isinstance(value, str):
         match = _SCALAR_TEXT.fullmatch(value)
         if not match:
             raise ValueError(f"scalar {value!r} is not of the form p or p/q")
-        # The matched integers make the Fraction; a "p/0" raises ZeroDivisionError.
         num, den = match.groups()
-        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        num, den = int(num), 1 if den is None else int(den)
+        if den == 0:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        return num, den
     if type(value) is not int:
         raise TypeError(f"scalar {value!r} is neither a JSON integer nor a p or p/q string")
-    return Fraction(value)
+    return value, 1
+
+
+def parse_scalar(value) -> Fraction:
+    """Read a scalar from outside input (see `_parse_ratio`)."""
+    return Fraction(*_parse_ratio(value))
+
+
+def parse_integers(entries) -> Scaled:
+    """Read a vector from outside input, a JSON list of scalars, as integers
+    over the lcm of its denominators; no Fraction is built."""
+    if not isinstance(entries, list):
+        raise TypeError(f"a vector must be a list of scalars, not {type(entries).__name__}")
+    ratios = [_parse_ratio(x) for x in entries]
+    den = lcm(*[q for _, q in ratios])
+    return Scaled([p * (den // q) for p, q in ratios], den)
 
 
 def parse_vector(entries) -> Vector:
     """Read a vector from outside input: a JSON list of scalars."""
-    if not isinstance(entries, list):
-        raise TypeError(f"a vector must be a list of scalars, not {type(entries).__name__}")
-    return tuple(parse_scalar(x) for x in entries)
+    return parse_integers(entries).fractions()
+
+
+def parse_matrix(rows, ncols: int) -> Matrix:
+    """Read a matrix from outside input, rows of `parse_integers`, as
+    integer rows.  Its errors are those of `Matrix(rows, ncols)`."""
+    cleared = [parse_integers(row) for row in rows]
+    if cleared:
+        width = len(cleared[0].ints)
+        if any(len(ints) != width for ints, _ in cleared):
+            raise ValueError("ragged rows")
+        if ncols != width:
+            raise ValueError("declared column count does not match rows")
+    return Matrix._trusted(cleared, ncols)
 
 
 def vector(entries: Iterable) -> Vector:
@@ -591,19 +622,29 @@ class Subspace:
 
     def coordinates(self, v: Sequence[Fraction]) -> Vector | None:
         """Coefficients of v against the canonical basis, or None if outside."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch.of(self.ambient_dim, len(v))
-        residual = list(v)
-        coords = []
-        for row in self.basis.rows:
-            lead = first_nonzero_index(row)
-            coeff = residual[lead]
-            coords.append(coeff)
-            if coeff != 0:
-                residual = [a - coeff * b for a, b in zip(residual, row)]
-        if any(a != 0 for a in residual):
-            return None
-        return tuple(coords)
+        coords = self.integer_coordinates(v)
+        return None if coords is None else coords.fractions()
+
+    def integer_coordinates(self, v: Sequence) -> Scaled | None:
+        """`coordinates` for v in either form, as a `Scaled`.
+
+        Row i of the reduced basis is 1 at its pivot column c_i and every
+        other row is 0 there, so the coefficient of row i is v[c_i]; v lies
+        in the subspace exactly when the residual v - sum v[c_i] row_i,
+        taken over the lcm of the row denominators, is zero.
+        """
+        ints, den = to_integers(v)
+        if len(ints) != self.ambient_dim:
+            raise DimensionMismatch.of(self.ambient_dim, len(ints))
+        rows = self.basis._cleared()
+        coords = [ints[first_nonzero_index(row)] for row, _ in rows]
+        common = lcm(*[d for _, d in rows])
+        residual = [common * x for x in ints]
+        for c, (row, d) in zip(coords, rows):
+            if c:
+                up = c * (common // d)
+                residual = [x - up * y for x, y in zip(residual, row)]
+        return None if any(residual) else Scaled(coords, den)
 
     def meet_kernel(self, m: Matrix) -> "Subspace":
         """The vectors of this subspace that m maps to zero.

@@ -10,14 +10,19 @@ V.  Simple vectors are exactly the images of rank-one coefficient grids,
 which gives exact factorization and a tensor-rank function.
 
 `derived_product` completes one square at a time and stays the
-definition.  `product_matrix` builds all d1 * d2 products of basis
-vectors together from linear conditions at w0: one elimination of the
-polar rows of w0 with every right-hand side carried along, one small
-elimination per basis vector for the parts in W1 and W2, and one linear
-equation for the scale along w0 (see `_generic_products`).  The vectors
-passed between those solves are `Scaled` integers, and φ is born as
-integer rows.  One rank of φ checks that the products span V; φ⁻¹, which
-only `coefficient_grid` reads, is built the first time it is asked for.
+definition.  `product_matrix` builds the d1 * d2 products of basis
+vectors without completing a square.  With p and q the first basis
+vectors on which w0 has a nonzero coordinate, the (d1 - 1)(d2 - 1) pairs
+off the w0 row p and column q come together from linear conditions at
+w0: one elimination of the polar rows of w0 with every right-hand side
+carried along, one small elimination per basis vector for the parts in
+W1 and W2, and one linear equation for the scale along w0 (see
+`_generic_products`).  Bilinearity and the stipulations then fill row p
+and column q as linear combinations of basis vectors and those products.
+The vectors passed between these steps are `Scaled` integers, and φ is
+born as integer rows.  One rank of φ checks that the products span V;
+φ⁻¹, which only `coefficient_grid` reads, is built the first time it is
+asked for.
 
 `verify_round_trip` is the only place that deliberately looks behind the
 scramble, and it reads everything from rank-one gauges of hidden grids.
@@ -56,6 +61,7 @@ from untensor.linalg import (
     Vector,
     _solve_columns,
     factor_rank_one,
+    first_nonzero_index,
     format_scalar,
     is_zero_vector,
     linear_combination,
@@ -91,6 +97,7 @@ class Reconstruction:
         self.pair = pair
         self.basis_e = tuple(tuple(v) for v in basis_e) if basis_e else pair.first.subspace.basis.rows
         self.basis_f = tuple(tuple(v) for v in basis_f) if basis_f else pair.second.subspace.basis.rows
+        self._canonical = (not basis_e, not basis_f)
         self._phi: Matrix | None = None
         self._phi_inv: Matrix | None = None
 
@@ -139,29 +146,68 @@ class Reconstruction:
         """Matrix of the induced map from coefficient grids to V.
 
         Column (j, k) (row-major over basis_e then basis_f) is the derived
-        product of the j-th and k-th basis vectors.  A column whose e_j or
-        f_k is proportional to w0 is completed directly by its scaling rule;
-        every other column comes from the linear conditions at w0 in
-        `_generic_products`.
+        product of e_j and f_k.  The product is bilinear, and w0 * f = f and
+        e * w0 = e fix it on the w0 directions.  So with w0 = sum a_j e_j =
+        sum b_k f_k, p the first j with a_j != 0 and q the first k with
+        b_k != 0, only the pairs j != p, k != q come from the linear
+        conditions at w0 (`_generic_products`), and the rest by bilinearity:
+
+            phi(e_j, f_q) = (e_j - sum_{k != q} b_k phi(e_j, f_k)) / b_q   for j != p,
+            phi(e_p, f_k) = (f_k - sum_{j != p} a_j phi(e_j, f_k)) / a_p   for every k;
+
+        at k = q the second is also w0 * w0 = w0.  Only a dependent basis
+        has an e_j proportional to w0 at j != p (or an f_k at k != q); that
+        pair takes the scaling rule t f_k (or t e_j) instead.  The
+        coordinates are read off the pivot columns of a canonical basis and
+        solved for against any other, and a w0 outside the span of a basis
+        raises InconsistentSquare.
         """
         if self._phi is None:
-            generic = self._generic_products()
-            columns = [
-                generic[j, k]
-                if (j, k) in generic
-                else complete_square(self.inst, self.w0, f, e)
-                for j, e in enumerate(self.basis_e)
-                for k, f in enumerate(self.basis_f)
-            ]
-            phi = Matrix.from_columns(columns)
+            w0 = to_integers(self.w0)
+            es = [to_integers(e) for e in self.basis_e]
+            fs = [to_integers(f) for f in self.basis_f]
+            a = self._w0_coordinates(es, self.sheet_w1, self._canonical[0])
+            b = self._w0_coordinates(fs, self.sheet_w2, self._canonical[1])
+            p, q = first_nonzero_index(a.ints), first_nonzero_index(b.ints)
+            e_ratios = {j: proportionality_ratio(w0, e) for j, e in enumerate(es) if j != p}
+            f_ratios = {k: proportionality_ratio(w0, f) for k, f in enumerate(fs) if k != q}
+            products = self._generic_products(
+                [(j, es[j]) for j, t in e_ratios.items() if t is None],
+                [(k, fs[k]) for k, t in f_ratios.items() if t is None],
+            )
+            for j, t in e_ratios.items():
+                for k, u in f_ratios.items():
+                    if t is not None:
+                        products[j, k] = linear_combination([fs[k]], [t])
+                    elif u is not None:
+                        products[j, k] = linear_combination([es[j]], [u])
+                products[j, q] = _remainder(es[j], {k: products[j, k] for k in f_ratios}, b, q)
+            for k, f in enumerate(fs):
+                products[p, k] = _remainder(f, {j: products[j, k] for j in e_ratios}, a, p)
+            phi = Matrix.from_columns([products[j, k] for j in range(len(es)) for k in range(len(fs))])
             if phi.rank() < self.inst.dim:
                 raise RankDeficient("derived products of the basis pairs do not span V")
             self._phi = phi
         return self._phi
 
-    def _generic_products(self) -> dict[tuple[int, int], Scaled]:
-        """The derived product d of e_j and f_k, for every e_j and f_k not
-        proportional to w0, keyed by (j, k).
+    def _w0_coordinates(self, basis: list[Scaled], sheet: Sheet, canonical: bool) -> Scaled:
+        """The coordinates of w0 in basis: read off the pivot columns when
+        basis is the canonical basis of sheet, else one solve."""
+        if canonical:
+            coords = sheet.subspace.integer_coordinates(self.w0)
+        else:
+            coords = _solve_columns(Matrix.from_columns(basis), [self.w0])[0]
+        if coords is None:
+            raise InconsistentSquare(_NO_CORNER)
+        return coords
+
+    def _generic_products(
+        self, es: list[tuple[int, Scaled]], fs: list[tuple[int, Scaled]]
+    ) -> dict[tuple[int, int], Scaled]:
+        """The derived product d of e_j and f_k for every (j, e_j) in es and
+        (k, f_k) in fs, keyed by (j, k); no e_j or f_k is proportional to w0.
+        `product_matrix` passes the pairs off the w0 row and column, so the
+        solves below carry (d1 - 1)(d2 - 1) right-hand sides in all.
 
         d completes the square (w0, f; e, d), and three linear facts at w0
         pin it (B is the polar form of every quadric at once):
@@ -189,11 +235,9 @@ class Reconstruction:
         inconsistent solve or disagreeing quadrics raise InconsistentSquare,
         and a scale no quadric pins raises Degenerate.
         """
-        inst, w0 = self.inst, to_integers(self.w0)
-        es = [(j, to_integers(e)) for j, e in enumerate(self.basis_e) if proportionality_ratio(w0, e) is None]
-        fs = [(k, to_integers(f)) for k, f in enumerate(self.basis_f) if proportionality_ratio(w0, f) is None]
         if not es or not fs:
             return {}
+        inst, w0 = self.inst, to_integers(self.w0)
         # table[a][b] = 2B(e, f) for the a-th generic e and b-th generic f.
         table = [[inst.polar2_values(e, f) for _, f in fs] for _, e in es]
         # 1. y = -d0 solves 2B(w0, y) = 2B(e, f).
@@ -258,12 +302,25 @@ class Reconstruction:
         return self.coefficient_grid(v).rank()
 
 
+_NO_CORNER = "the linear conditions at the base point admit no corner"
+
+
 def _solved(a: Matrix, columns: list[Scaled]) -> list[Scaled]:
     """The solutions of a·x = b for every b in columns, all of which must exist."""
     solutions = _solve_columns(a, columns)
     if None in solutions:
-        raise InconsistentSquare("the linear conditions at the base point admit no corner")
+        raise InconsistentSquare(_NO_CORNER)
     return solutions
+
+
+def _remainder(total: Scaled, parts: dict[int, Scaled], coords: Scaled, lead: int) -> Scaled:
+    """The x with c_lead x + sum c_i parts[i] = total, for c = coords with
+    c_lead != 0: (den total - sum ints_i parts[i]) / ints_lead, as one
+    `linear_combination` with the sign of ints_lead moved to the weights."""
+    ints, den = coords
+    sign = 1 if ints[lead] > 0 else -1
+    weights = [sign * den] + [-sign * ints[i] for i in parts]
+    return linear_combination([total, *parts.values()], Scaled(weights, sign * ints[lead]))
 
 
 def recover_factors(inst: TensorSpace, rng: Random, w0: Sequence | None = None) -> Reconstruction:

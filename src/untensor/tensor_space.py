@@ -78,7 +78,8 @@ from untensor.linalg import (
     format_scalar,
     inverse_and_determinant,
     is_zero_vector,
-    parse_vector,
+    parse_integers,
+    parse_matrix,
     solve_linear,
     to_integers,
     vector,
@@ -409,7 +410,7 @@ def generate_instance(
     while True:
         rows = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)]
         try:
-            inst = TensorSpace(shape, Matrix(rows, dim), seed=seed, sampler_range=sampler_range)
+            inst = TensorSpace(shape, Matrix.from_integer_rows(rows, 1, dim), seed=seed, sampler_range=sampler_range)
         except ValueError:  # a singular draw
             continue
         break
@@ -514,16 +515,18 @@ def _json_int(value, key: str) -> int:
 
 def instance_from_payload(payload: dict) -> TensorSpace:
     """The instance a payload describes; the base point is factored through
-    the instance itself, so the scramble is eliminated once."""
+    the instance itself, so the scramble is eliminated once.  The scramble
+    and the base point are parsed straight into integer rows, so no
+    Fraction is built for either."""
     shape = FactorShape(_json_int(payload["m"], "m"), _json_int(payload["n"], "n"))
-    scramble = Matrix([parse_vector(row) for row in payload["scramble"]], shape.dim)
+    scramble = parse_matrix(payload["scramble"], shape.dim)
     sampler_range = _json_int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE), "sampler_range")
     seed = payload.get("seed")
     if seed is not None:
         _json_int(seed, "seed")
     inst = TensorSpace(shape, scramble, seed=seed, sampler_range=sampler_range)
     if payload.get("base_point") is not None:
-        factors = factor_rank_one(inst.hidden_coordinates(parse_vector(payload["base_point"])))
+        factors = factor_rank_one(inst.hidden_coordinates(parse_integers(payload["base_point"])))
         if factors is None or is_zero_vector(factors[0]):
             raise ValueError("base_point is not a nonzero simple vector")
         inst._point_at(*factors)

@@ -13,6 +13,7 @@ from untensor import linalg
 from untensor.errors import DimensionMismatch
 from untensor.linalg import (
     Matrix,
+    Scaled,
     Subspace,
     _solve_columns,
     determinant,
@@ -22,7 +23,10 @@ from untensor.linalg import (
     inverse_and_determinant,
     kernel,
     linear_combination,
+    parse_integers,
+    parse_matrix,
     parse_scalar,
+    parse_vector,
     proportionality_ratio,
     rank_one_gauge,
     ray_generator,
@@ -434,6 +438,19 @@ class TestSubspace:
         assert not s.contains((0, 0, 1))
         assert s.coordinates((0, 0, 1)) is None
 
+    def test_integer_coordinates_solve_against_the_basis(self):
+        rng = Random(23)
+        for _ in range(30):
+            dim = rng.randint(1, 5)
+            vectors = [vector([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]) for _ in range(rng.randint(0, dim))]
+            s = Subspace(vectors, dim)
+            v = vector([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)])
+            reference = solve_linear(s.basis.transpose(), v) if s.dim else (() if not any(v) else None)
+            coords = s.integer_coordinates(linear_combination([v], [1]))
+            assert (None if coords is None else coords.fractions()) == reference == s.coordinates(v)
+        with pytest.raises(DimensionMismatch):
+            Subspace.full(2).integer_coordinates((1, 2, 3))
+
 
 class TestSolve:
     def test_identity(self):
@@ -475,6 +492,36 @@ class TestScalars:
         for text in ("1e3", "1.5", "1/-2", "", "/2"):
             with pytest.raises(ValueError):
                 parse_scalar(text)
+
+    def test_integer_parse_reads_the_same_values(self):
+        assert parse_integers(["-4/6", "+007", 3, "0/5"]) == Scaled([-20, 210, 90, 0], 30)
+        assert parse_vector(["-4/6", 12]) == (F(-2, 3), F(12))
+        assert parse_integers([]) == Scaled([], 1)
+        m = parse_matrix([["1/2", "-2/3"], [3, "0/4"]], 2)
+        assert m == Matrix([[F(1, 2), F(-2, 3)], [3, 0]]) and m._rows is None
+        assert parse_matrix([], 3).shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "rows,error,message",
+        [
+            (5, TypeError, "'int' object is not iterable"),
+            ("ab", TypeError, "a vector must be a list of scalars, not str"),
+            ([[1, "x"], [0, 1]], ValueError, "scalar 'x' is not of the form p or p/q"),
+            ([["-7/0", 1], [0, 1]], ZeroDivisionError, "Fraction(-7, 0)"),
+            ([[1.5, 1], [0, 1]], TypeError, "scalar 1.5 is neither a JSON integer nor a p or p/q string"),
+            ([[True, 1], [0, 1]], TypeError, "scalar True is neither a JSON integer nor a p or p/q string"),
+            ([[1, 2], [3]], ValueError, "ragged rows"),
+            ([[1, 2, 3], [4, 5, 6]], ValueError, "declared column count does not match rows"),
+        ],
+    )
+    def test_integer_parse_keeps_the_fraction_errors(self, rows, error, message):
+        for parse in (parse_matrix, lambda rows, n: Matrix([parse_vector(r) for r in rows], n)):
+            with pytest.raises(error) as excinfo:
+                parse(rows, 2)
+            assert str(excinfo.value) == message
+        with pytest.raises(ZeroDivisionError) as fraction_error:
+            F(-7, 0)
+        assert str(fraction_error.value) == "Fraction(-7, 0)"
 
     def test_format_omits_unit_denominator(self):
         assert format_scalar(F(5)) == "5"

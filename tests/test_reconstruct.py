@@ -3,9 +3,9 @@ from random import Random
 
 import pytest
 
-from untensor import linalg
+from untensor import linalg, squares
 from untensor.errors import MembershipViolated, NotSimpleVector, RankDeficient
-from untensor.linalg import Matrix, Subspace, is_zero_vector, linear_combination, vadd, vscale
+from untensor.linalg import Matrix, Subspace, is_zero_vector, linear_combination, solve_linear, vadd, vscale
 from untensor.reconstruct import Reconstruction, recover_factors, verify_round_trip
 from untensor.tensor_space import build_instance, generate_instance, instance_from_payload, instance_payload
 
@@ -160,6 +160,34 @@ def sweep_recon(shape, seed, pointed=True):
     return recover_factors(generate_instance(shape, seed, pointed=pointed), Random(seed))
 
 
+# Shapes for the bilinear fill of the w0 row and column: 1xn, 2x2, 2x3, 3x3 and 3x4.
+FILL_SWEEP = [((1, 4), 21), ((1, 2), 22), ((2, 2), 23), ((2, 3), 24), ((3, 3), 25), ((3, 4), 26), ((3, 3), 27)]
+
+
+def base_point_in_basis(recon, sheet):
+    """The canonical basis of sheet with w0 in place of its last vector on
+    which w0 has a nonzero coordinate."""
+    basis = list(sheet.subspace.basis.rows)
+    coords = sheet.subspace.coordinates(recon.w0)
+    basis[max(i for i, c in enumerate(coords) if c != 0)] = vscale(F(-3, 2), recon.w0)
+    return basis
+
+
+def full_support_basis(recon, sheet, rng):
+    """A basis of sheet, M times the canonical one for a random integer M,
+    in which every coordinate of w0 is nonzero."""
+    basis = sheet.subspace.basis.rows
+    coords = sheet.subspace.coordinates(recon.w0)
+    while True:
+        m = Matrix([[rng.randint(-2, 2) for _ in basis] for _ in basis])
+        if m.rank() < len(basis):
+            continue
+        # w0 = sum coords_j e_j = sum x_i (M e)_i exactly when M^T x = coords.
+        x = solve_linear(m.transpose(), coords)
+        if all(c != 0 for c in x):
+            return [linear_combination(basis, row).fractions() for row in m.rows]
+
+
 class TestProductMatrix:
     @pytest.mark.parametrize("shape,seed", SWEEP)
     def test_columns_are_derived_products(self, shape, seed):
@@ -190,6 +218,42 @@ class TestProductMatrix:
             bases.append(basis)
         assert_columns_are_derived_products(recon.with_bases(*bases))
 
+    @pytest.mark.parametrize("bases", ["canonical", "base point", "full support"])
+    @pytest.mark.parametrize("shape,seed", FILL_SWEEP)
+    def test_bilinear_fill_matches_derived_products(self, shape, seed, bases):
+        inst = generate_instance(shape, seed, pointed=True)
+        recon = recover_factors(inst, Random(seed))
+        if bases == "base point":
+            recon = recon.with_bases(*(base_point_in_basis(recon, sheet) for sheet in (recon.sheet_w1, recon.sheet_w2)))
+        elif bases == "full support":
+            rng = Random(seed)
+            recon = recon.with_bases(*(full_support_basis(recon, sheet, rng) for sheet in (recon.sheet_w1, recon.sheet_w2)))
+        calls = inst.stats.oracle_calls
+        recon.product_matrix
+        generic_pairs = (recon.dims[0] - 1) * (recon.dims[1] - 1)
+        assert inst.stats.oracle_calls - calls == (4 * generic_pairs + 1 if generic_pairs else 0)
+        assert_columns_are_derived_products(recon)
+
+    def test_pointed_3x3_product_stage_work(self, monkeypatch):
+        # Columns of each elimination: one tall solve at w0, two table solves
+        # per factor, one rank; no square completion on the canonical bases.
+        inst = generate_instance((3, 3), 2, pointed=True)
+        recon = recover_factors(inst, Random(2))
+        eliminated = []
+        eliminate = linalg._eliminate
+
+        def counted(*args, **kwargs):
+            eliminated.append(args[1])
+            return eliminate(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("product_matrix completed a square")
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        monkeypatch.setattr(squares, "complete_square_details", refused)
+        recon.product_matrix
+        assert eliminated == [9, 2, 2, 2, 2, 9]
+
     def test_identity_instance_unit_matrix(self, ident22_recon):
         inst, recon = ident22_recon
         assert recon.product_matrix == Matrix.identity(4)
@@ -218,7 +282,7 @@ class TestProductMatrix:
         report = verify_round_trip(inst, recon)
         assert phi._rows is None
         assert report.success and report.to_payload()["lambda"] == lam
-        assert (report.oracle_calls, report.samples_used) == (55, 0)
+        assert (report.oracle_calls, report.samples_used) == (35, 0)
 
     def test_recovery_leaves_the_inverse_unbuilt(self, monkeypatch):
         inverted = []

@@ -316,6 +316,11 @@ class TestSerialization:
         assert calls == [18]  # one pass over [scramble | I]
         assert instance_payload(again) == payload
 
+    def test_loaded_scramble_stays_integer_through_recovery(self):
+        inst = instance_from_payload(instance_payload(generate_instance((3, 3), 15, pointed=True)))
+        assert verify_round_trip(inst, recover_factors(inst, Random(0))).success
+        assert inst.scramble._rows is None
+
     def test_rejects_base_point_off_the_cone(self):
         payload = instance_payload(generate_instance((2, 3), 14, pointed=True))
         inst = instance_from_payload(payload)
