@@ -39,10 +39,9 @@ from untensor.linalg import (
     Vector,
     _solve_columns,
     frac,
-    is_zero_vector,
     proportionality_ratio,
 )
-from untensor.reconstruct import Reconstruction
+from untensor.reconstruct import Reconstruction, _flattened
 from untensor.tensor_space import TensorSpace
 from untensor.foliation import Sheet
 
@@ -267,26 +266,27 @@ def product_commutation_scale(
     """The single scalar relating f composed with the source product map to
     the target product map composed with the restricted factor maps.
 
-    Matched base points force the scalar to 1; a rescaled target base point
-    shows up here as a nontrivial scalar.  Returns None when no single
-    scalar works.
+    Both sides are integer matrix products: f·φ_s, and φ_t·(f1 ⊗ f2), whose
+    column (j, k) is the target product of the images of e_j and f_k; when
+    the sheets cross, f2 ⊗ f1 with its columns reordered once.  One
+    `proportionality_ratio` over the two flattened products reads the
+    scalar.  Matched base points force the scalar to 1; a rescaled target
+    base point shows up here as a nontrivial scalar.  Returns None when no
+    single scalar works.
     """
     f1, f2, crossed = _factor_maps(f, recon_s, recon_t, require_pointed=require_pointed)
-    lhs = f.matrix @ recon_s.product_matrix
-    d1s, d2s = recon_s.dims
-    phi_t = recon_t.product_matrix
-    rhs = []  # column-major, like the flattened lhs
-    for j in range(d1s):
-        for k in range(d2s):
-            if crossed:
-                first, second = f2.column(k), f1.column(j)
-            else:
-                first, second = f1.column(j), f2.column(k)
-            coeff = tuple(x * y for x in first for y in second)
-            rhs.extend(phi_t.apply(coeff))
-    if is_zero_vector(rhs):
+    if crossed:
+        # Pair (j, k) takes column k * d1 + j of f2.kron(f1), which is f2_k x f1_j.
+        d1, d2 = recon_s.dims
+        rows, den = f2.kron(f1).integer_rows()
+        order = [k * d1 + j for j in range(d1) for k in range(d2)]
+        pairs = Matrix.from_integer_rows([[row[c] for c in order] for row in rows], den, len(order))
+    else:
+        pairs = f1.kron(f2)
+    rhs = _flattened(recon_t.product_matrix @ pairs)
+    if not any(rhs.ints):
         return None
-    return proportionality_ratio(rhs, [x for column in lhs.columns() for x in column])
+    return proportionality_ratio(rhs, _flattened(f.matrix @ recon_s.product_matrix))
 
 
 def check_product_side_naturality(

@@ -8,7 +8,11 @@ the first.  `_solve_columns` and `linear_combination` return the `Scaled`
 form, and they, `Matrix.apply`, `Matrix.from_columns`,
 `proportionality_ratio` and `ray_generator` accept both, so values passed
 between the stages of a computation are never turned into Fractions and
-cleared back; Fractions are built where a caller reads a result.  The
+cleared back; Fractions are built where a caller reads a result.
+`rank_one_split` writes a rank-one matrix as outer(col, row) with two
+`Scaled` vectors, so every reader of a grid (factorization, verification,
+loading a base point) stays on integers; it is the one owner of the
+exchange (t col, row / t) that a rank-one split leaves free.  The
 plain-tuple helpers (`vadd`, `vscale`, `is_zero_vector`, ...) take
 Fractions only.  `Matrix` and `Subspace` are small immutable wrappers.  A
 subspace is stored as its reduced row-echelon basis, which is the unique
@@ -108,11 +112,6 @@ def _parse_ratio(value) -> tuple[int, int]:
     if type(value) is not int:
         raise TypeError(f"scalar {value!r} is neither a JSON integer nor a p or p/q string")
     return value, 1
-
-
-def parse_scalar(value) -> Fraction:
-    """Read a scalar from outside input (see `_parse_ratio`)."""
-    return Fraction(*_parse_ratio(value))
 
 
 def parse_integers(entries) -> Scaled:
@@ -711,43 +710,24 @@ def integer_sqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def rank_one_gauge(m: Matrix) -> tuple[Vector, Vector, Fraction] | None:
-    """Write a rank-one matrix as scale * outer(col, row).
+def rank_one_split(m: Matrix) -> tuple[Scaled, Scaled] | None:
+    """Split a rank-one matrix as outer(col, row), or None for rank 0 or 2 and up.
 
-    Both returned vectors have leading coordinate 1 and the scale carries
-    the rest, so the gauge is canonical.  Returns None when m has rank 0
-    or at least 2.  The test runs on the integer rows over one common
-    denominator: with p = m[i0][j0] the leading entry, m has rank one
-    exactly when m[i][j] * p == m[i][j0] * m[i0][j] everywhere.
+    With p = m[i0][j0] the leading entry, col is column j0 divided by p, so
+    its first nonzero coordinate is 1, and row is row i0 of m.  Every other
+    split is (t col, row / t) for some t != 0.  The test runs on the integer rows over one common denominator: m has
+    rank one exactly when m[i][j] * p == m[i][j0] * m[i0][j] everywhere.
     """
     rows, den = m.integer_rows()
-    lead = None
-    for i, row in enumerate(rows):
-        j = first_nonzero_index(row)
-        if j is not None:
-            lead = (i, j)
-            break
-    if lead is None:
+    i0 = next((i for i, row in enumerate(rows) if any(row)), None)
+    if i0 is None:
         return None
-    i0, j0 = lead
     top = rows[i0]
+    j0 = first_nonzero_index(top)
     p = top[j0]
     for r in rows:
         x0 = r[j0]
         if any(x * p != x0 * y for x, y in zip(r, top)):
             return None
-    return from_integers([r[j0] for r in rows], p), from_integers(top, p), Fraction(p, den)
-
-
-def factor_rank_one(m: Matrix) -> tuple[Vector, Vector] | None:
-    """Split a rank-one matrix as outer(col, row) with col leading 1.
-
-    The zero matrix factors as (0, 0).  Returns None on rank >= 2.
-    """
-    gauge = rank_one_gauge(m)
-    if gauge is None:
-        if all(is_zero_vector(r) for r in m.rows):
-            return vzero(m.nrows), vzero(m.ncols)
-        return None
-    col, row, scale = gauge
-    return col, vscale(scale, row)
+    sign = 1 if p > 0 else -1
+    return Scaled([sign * r[j0] for r in rows], sign * p), Scaled(top, den)

@@ -22,23 +22,26 @@ and column q as linear combinations of basis vectors and those products.
 The vectors passed between these steps are `Scaled` integers, and φ is
 born as integer rows.  One rank of φ checks that the products span V;
 φ⁻¹, which only `coefficient_grid` reads, is built the first time it is
-asked for.
+asked for and kept as integer rows over one common denominator, so a
+coefficient grid is an integer matrix and `factorize_simple` and
+`tensor_rank` build no Fraction until they return factors.
 
 `verify_round_trip` is the only place that deliberately looks behind the
-scramble, and it reads everything from rank-one gauges of hidden grids.
-The gauge of w0 gives the canonical hidden factors; every recovered basis
+scramble, and it reads everything from `rank_one_split`s of hidden grids.
+The split of w0 gives the canonical hidden factors; every recovered basis
 vector must split against one of them, which matches the recovered sheets
 to the hidden ones and fixes the swap; and one `proportionality_ratio`
 over the flattened matrices extracts the single rational scale relating
 the derived product to the hidden product, which is precisely the
 one-parameter freedom a factor recovery can never remove.  The hidden
-grids, φ and the hidden products are all read as integer rows.
+grids, their splits, φ and the hidden products are all read as integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Sequence
 
@@ -60,15 +63,14 @@ from untensor.linalg import (
     Subspace,
     Vector,
     _solve_columns,
-    factor_rank_one,
     first_nonzero_index,
     format_scalar,
     is_zero_vector,
     linear_combination,
     proportionality_ratio,
-    rank_one_gauge,
+    rank_one_split,
+    ray_generator,
     to_integers,
-    vscale,
     vzero,
 )
 from untensor.squares import common_root, complete_square
@@ -267,34 +269,38 @@ class Reconstruction:
 
     @property
     def product_matrix_inverse(self) -> Matrix:
-        """φ⁻¹, built the first time it is read; recovery and verification never read it."""
+        """φ⁻¹ as integer rows over one common denominator, built the first
+        time it is read; recovery and verification never read it."""
         if self._phi_inv is None:
-            self._phi_inv = self.product_matrix.inverse()
+            rows, den = self.product_matrix.inverse().integer_rows()
+            self._phi_inv = Matrix.from_integer_rows(rows, den, self.inst.dim)
         return self._phi_inv
 
     def coefficient_grid(self, v: Sequence) -> Matrix:
-        """v pulled back through the product map, as a dims[0] x dims[1] grid."""
-        coeffs = self.product_matrix_inverse.apply(tuple(v))
+        """v pulled back through the product map, as a dims[0] x dims[1]
+        grid of integer rows; no Fraction is built."""
+        ints, vden = to_integers(tuple(v))
+        rows, den = self.product_matrix_inverse.integer_rows()
+        coeffs = [sum(map(mul, row, ints)) for row in rows]
         d1, d2 = self.dims
-        return Matrix(tuple(tuple(coeffs[j * d2 : (j + 1) * d2]) for j in range(d1)), d2)
+        return Matrix.from_integer_rows([coeffs[j * d2 : (j + 1) * d2] for j in range(d1)], den * vden, d2)
 
     def factorize_simple(self, v: Sequence) -> tuple[Vector, Vector]:
         """Split a simple vector as a derived product of factor members.
 
         The coefficient grid of a simple vector has rank at most one; it is
-        split with the first factor's leading coefficient normalized to 1,
-        and the zero vector factors as (0, 0).
+        split by `rank_one_split`, so the first factor's leading coefficient
+        is 1, and the zero vector factors as (0, 0).
         """
         v = tuple(v)
         if not self.inst.is_simple(v):
             raise NotSimpleVector("only members of the cone factor")
-        grid = self.coefficient_grid(v)
-        split = factor_rank_one(grid)
+        if is_zero_vector(v):
+            return (vzero(self.inst.dim), vzero(self.inst.dim))
+        split = rank_one_split(self.coefficient_grid(v))
         if split is None:
             raise RankViolation("coefficient grid of a simple vector has rank >= 2")
         cvec, rvec = split
-        if is_zero_vector(cvec):
-            return (vzero(self.inst.dim), vzero(self.inst.dim))
         return (linear_combination(self.basis_e, cvec).fractions(), linear_combination(self.basis_f, rvec).fractions())
 
     def tensor_rank(self, v: Sequence) -> int:
@@ -375,17 +381,19 @@ class RoundTripReport:
         return payload
 
 
-def _side_vector(grid: Matrix, hat: Vector) -> Vector | None:
-    """p with grid == outer(p, hat) for a hat with first nonzero coordinate 1,
-    if such a nonzero p exists; the column side is this on the transpose.
+def _side_vector(grid: Matrix, hat: Sequence) -> Scaled | None:
+    """p with grid == outer(p, hat) for a nonzero hat, if such a nonzero p
+    exists; the column side is this on the transpose.
 
-    The rank-one gauge of grid is canonical, so its row must be hat itself.
+    With grid == outer(col, row) its split, p is t col for the t with
+    row == t hat.
     """
-    gauge = rank_one_gauge(grid)
-    if gauge is None or gauge[1] != hat:
+    split = rank_one_split(grid)
+    if split is None:
         return None
-    col, _, scale = gauge
-    return vscale(scale, col)
+    col, row = split
+    t = proportionality_ratio(hat, row)
+    return None if t is None else linear_combination([col], [t])
 
 
 def _flat_outer(x: Vector, y: Vector) -> Scaled:
@@ -403,11 +411,13 @@ def _flattened(m: Matrix) -> Scaled:
 def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripReport:
     """Compare a reconstruction against the hidden factorization.
 
-    With w0 = scale * alpha_hat x beta_hat its canonical rank-one gauge, the
-    recovered sheets equal the hidden sheets through w0 exactly when their
-    dimensions are (m, n) and every basis vector of the first splits as
-    p x beta_hat and every one of the second as alpha_hat x q, or, swapped,
-    (n, m) with the roles exchanged; the unswapped reading is tried first.
+    With w0 = scale * alpha_hat x beta_hat its canonical rank-one gauge
+    (alpha_hat and beta_hat with first nonzero coordinate 1, read off the
+    `rank_one_split` of its hidden grid), the recovered sheets equal the
+    hidden sheets through w0 exactly when their dimensions are (m, n) and
+    every basis vector of the first splits as p x beta_hat and every one of
+    the second as alpha_hat x q, or, swapped, (n, m) with the roles
+    exchanged; the unswapped reading is tried first.
     On top of that, the derived products of all basis pairs must reproduce
     the hidden products of the split parts up to one global rational
     scale, reported as lambda, which must equal scale.
@@ -427,10 +437,12 @@ def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripRepo
             reason=reason,
         )
 
-    gauge = rank_one_gauge(inst.hidden_coordinates(recon.w0))
-    if gauge is None:
+    split = rank_one_split(inst.hidden_coordinates(recon.w0))
+    if split is None:
         return report(False, reason="base point is not rank one behind the scramble")
-    alpha_hat, beta_hat, scale = gauge
+    alpha_hat, row = split
+    beta_hat = ray_generator(row)
+    scale = proportionality_ratio(beta_hat, row)
 
     # d independent members of a d-dimensional hidden sheet span it, and
     # only multiples of w0 lie in both hidden sheets, so at most one

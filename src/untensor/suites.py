@@ -22,7 +22,7 @@ from untensor.linalg import (
     is_zero_vector,
     linear_combination,
     proportionality_ratio,
-    rank_one_gauge,
+    rank_one_split,
     vadd,
     vscale,
 )
@@ -160,13 +160,13 @@ def suite_lemmas(trials: int, seed: int, *, fault: bool = False) -> list[Propert
                 v1 = inst.embed_simple(alpha, beta)
                 v2 = inst.embed_simple(vscale(scale, alpha), vscale(1 / scale, beta))
                 same = v1 == v2
-                gauge = rank_one_gauge(inst.hidden_coordinates(v1))
-                same = same and gauge is not None
+                split = rank_one_split(inst.hidden_coordinates(v1))
+                same = same and split is not None
                 if same:
-                    ahat, bhat, _ = gauge
+                    col, row = split
                     same = (
-                        proportionality_ratio(alpha, ahat) is not None
-                        and proportionality_ratio(beta, bhat) is not None
+                        proportionality_ratio(alpha, col) is not None
+                        and proportionality_ratio(beta, row) is not None
                     )
                 if same and not inst.shape.trivial:
                     if recon is None:
@@ -184,9 +184,11 @@ def suite_lemmas(trials: int, seed: int, *, fault: bool = False) -> list[Propert
                 u = inst.sample_simple(rng)
                 w = inst.sample_simple(rng)
                 if ok and not is_zero_vector(u) and not is_zero_vector(w) and inst.is_simple(vadd(u, w)):
-                    gu = rank_one_gauge(inst.hidden_coordinates(u))
-                    gw = rank_one_gauge(inst.hidden_coordinates(w))
-                    ok = gu is not None and gw is not None and (gu[0] == gw[0] or gu[1] == gw[1])
+                    su = rank_one_split(inst.hidden_coordinates(u))
+                    sw = rank_one_split(inst.hidden_coordinates(w))
+                    ok = su is not None and sw is not None and any(
+                        proportionality_ratio(x, y) is not None for x, y in zip(su, sw)
+                    )
                 lemma_sum.check(ok, lambda: _dump(inst, u=u, w=w))
 
                 # sampler soundness against the published quadrics

@@ -74,12 +74,12 @@ from untensor.linalg import (
     Scaled,
     Vector,
     ZERO,
-    factor_rank_one,
     format_scalar,
     inverse_and_determinant,
     is_zero_vector,
     parse_integers,
     parse_matrix,
+    rank_one_split,
     solve_linear,
     to_integers,
     vector,
@@ -516,8 +516,9 @@ def _json_int(value, key: str) -> int:
 def instance_from_payload(payload: dict) -> TensorSpace:
     """The instance a payload describes; the base point is factored through
     the instance itself, so the scramble is eliminated once.  The scramble
-    and the base point are parsed straight into integer rows, so no
-    Fraction is built for either."""
+    and the base point are parsed straight into integer rows, and the base
+    factors are the `rank_one_split` of the base point's hidden grid, which
+    is integer rows too."""
     shape = FactorShape(_json_int(payload["m"], "m"), _json_int(payload["n"], "n"))
     scramble = parse_matrix(payload["scramble"], shape.dim)
     sampler_range = _json_int(payload.get("sampler_range", DEFAULT_SAMPLER_RANGE), "sampler_range")
@@ -526,10 +527,10 @@ def instance_from_payload(payload: dict) -> TensorSpace:
         _json_int(seed, "seed")
     inst = TensorSpace(shape, scramble, seed=seed, sampler_range=sampler_range)
     if payload.get("base_point") is not None:
-        factors = factor_rank_one(inst.hidden_coordinates(parse_integers(payload["base_point"])))
-        if factors is None or is_zero_vector(factors[0]):
+        split = rank_one_split(inst.hidden_coordinates(parse_integers(payload["base_point"])))
+        if split is None:
             raise ValueError("base_point is not a nonzero simple vector")
-        inst._point_at(*factors)
+        inst._point_at(*(part.fractions() for part in split))
     return inst
 
 

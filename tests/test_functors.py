@@ -172,7 +172,7 @@ class TestDecomposition:
         # factor map conjugated by the sheet-basis decompositions, up to one
         # scalar absorbed by the base-factor gauge
         from untensor.functors import _factor_maps
-        from untensor.linalg import rank_one_gauge
+        from untensor.linalg import rank_one_split, ray_generator
         from untensor.reconstruct import _side_vector
 
         inst_a, pm, inst_b = compatible_pair((2, 3), 43)
@@ -183,7 +183,8 @@ class TestDecomposition:
         assert not crossed  # the factor dimensions differ, so sheets cannot cross
 
         def decomposition(inst, recon, basis, side):
-            ahat, bhat, _ = rank_one_gauge(inst.hidden_coordinates(recon.w0))
+            ahat, row = rank_one_split(inst.hidden_coordinates(recon.w0))
+            bhat = ray_generator(row)
             parts = []
             for v in basis:
                 grid = inst.hidden_coordinates(v)

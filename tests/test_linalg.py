@@ -17,7 +17,6 @@ from untensor.linalg import (
     Subspace,
     _solve_columns,
     determinant,
-    factor_rank_one,
     format_scalar,
     integer_sqrt_exact,
     inverse_and_determinant,
@@ -25,10 +24,9 @@ from untensor.linalg import (
     linear_combination,
     parse_integers,
     parse_matrix,
-    parse_scalar,
     parse_vector,
     proportionality_ratio,
-    rank_one_gauge,
+    rank_one_split,
     ray_generator,
     solve_linear,
     vadd,
@@ -481,17 +479,20 @@ class TestScalars:
 
     @given(fractions)
     def test_serialization_round_trip(self, q):
-        assert parse_scalar(format_scalar(q)) == q
+        assert parse_integers([format_scalar(q)]).fractions() == (q,)
 
     def test_parse_reads_the_matched_integers(self):
-        assert parse_scalar("-4/6") == F(-2, 3)
-        assert parse_scalar("+007") == 7 and parse_scalar("0/5") == 0
-        assert type(parse_scalar("12")) is F and type(parse_scalar(12)) is F
-        with pytest.raises(ZeroDivisionError):
-            parse_scalar("1/0")
+        def parse(value):
+            return parse_integers([value]).fractions()[0]
+
+        assert parse("-4/6") == F(-2, 3)
+        assert parse("+007") == 7 and parse("0/5") == 0
+        assert type(parse("12")) is F and type(parse(12)) is F
+        with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+            parse("1/0")
         for text in ("1e3", "1.5", "1/-2", "", "/2"):
-            with pytest.raises(ValueError):
-                parse_scalar(text)
+            with pytest.raises(ValueError, match="is not of the form p or p/q"):
+                parse(text)
 
     def test_integer_parse_reads_the_same_values(self):
         assert parse_integers(["-4/6", "+007", 3, "0/5"]) == Scaled([-20, 210, 90, 0], 30)
@@ -528,31 +529,61 @@ class TestScalars:
         assert format_scalar(F(-3, 4)) == "-3/4"
 
 
+sides = st.one_of(
+    st.lists(fractions, min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=4).map(lambda n: [F(0)] * n),
+)
+
+
+def outer(col, row) -> Matrix:
+    return Matrix([[a * b for b in row] for a in col])
+
+
+def unit_vector(n: int, i: int) -> list[F]:
+    return [F(j == i) for j in range(n)]
+
+
 class TestRankOne:
     def test_gauge_and_factor(self):
         rng = Random(17)
         for _ in range(20):
             col = vector([rng.randint(-4, 4) for _ in range(3)])
             row = vector([rng.randint(-4, 4) for _ in range(4)])
-            m = Matrix([[a * b for b in row] for a in col])
-            split = factor_rank_one(m)
+            m = outer(col, row)
+            split = rank_one_split(m)
+            if not any(col) or not any(row):
+                assert split is None
+                continue
             assert split is not None
-            c, r = split
-            assert Matrix([[a * b for b in r] for a in c]) == m
-            if any(x != 0 for x in col) and any(x != 0 for x in row):
-                gauge = rank_one_gauge(m)
-                assert gauge is not None
-                ahat, bhat, scale = gauge
-                assert scale * next(x for x in ahat if x != 0) != 0
-                assert proportionality_ratio(ahat, col) is not None
+            c, r = (part.fractions() for part in split)
+            assert outer(c, r) == m
+            assert next(x for x in c if x) == 1
+            assert proportionality_ratio(col, c) is not None
 
     def test_rank_two_rejected(self):
-        assert factor_rank_one(Matrix.identity(2)) is None
-        assert rank_one_gauge(Matrix.identity(3)) is None
+        assert rank_one_split(Matrix.identity(2)) is None
+        assert rank_one_split(Matrix.identity(3)) is None
 
     def test_zero_matrix(self):
-        c, r = factor_rank_one(Matrix([[0, 0, 0]] * 2))
-        assert all(x == 0 for x in c) and all(x == 0 for x in r)
+        assert rank_one_split(Matrix([[0, 0, 0]] * 2)) is None
+
+    @given(sides, sides)
+    def test_split_of_an_outer_product(self, col, row):
+        m = outer(col, row)
+        split = rank_one_split(m)
+        assert (split is None) == (not any(col) or not any(row))
+        if split is None:
+            return
+        c, r = (part.fractions() for part in split)
+        assert outer(c, r) == m
+        assert next(x for x in c if x) == 1
+        assert proportionality_ratio(col, c) is not None
+        if len(col) > 1 and len(row) > 1:
+            # Adding outer(u, v) for unit vectors u, v off the rays of col
+            # and row gives rank 2: e_0 unless x lies on the ray of e_0.
+            u, v = (unit_vector(len(x), 0 if any(x[1:]) else 1) for x in (col, row))
+            rank_two = Matrix([[x + y for x, y in zip(a, b)] for a, b in zip(m.rows, outer(u, v).rows)])
+            assert rank_two.rank() == 2 and rank_one_split(rank_two) is None
 
 
 class TestMatrixOps:

@@ -356,6 +356,31 @@ class TestFactorize:
         with pytest.raises(NotSimpleVector):
             recon.factorize_simple((1, 0, 0, 1))
 
+    def test_grids_stay_integer(self, monkeypatch):
+        # Fraction vectors built while verifying a pointed 3x3 recovery (the
+        # ray generator of the base point's hidden row) and while factoring
+        # on a warm 4x4 one (the two factors it returns).
+        inst = generate_instance((3, 3), 2, pointed=True)
+        recon = recover_factors(inst, Random(2))
+        recon.product_matrix
+        inst4 = generate_instance((4, 4), 3, pointed=True)
+        recon4 = recover_factors(inst4, Random(3))
+        v = inst4.sample_simple(Random(4))
+        assert recon4.coefficient_grid(v)._rows is None
+        built = []
+        convert = linalg.from_integers
+
+        def counted(ints, den):
+            built.append(len(ints))
+            return convert(ints, den)
+
+        monkeypatch.setattr(linalg, "from_integers", counted)
+        assert verify_round_trip(inst, recon).success
+        assert built == [3]
+        built.clear()
+        w1, w2 = recon4.factorize_simple(v)
+        assert built == [16, 16] and recon4.derived_product(w1, w2) == v
+
 
 class TestTensorRank:
     def test_simple_is_at_most_one(self):
