@@ -7,7 +7,7 @@ ray.  None of that structure is visible in the raw coordinates, but it can
 be dug out of S alone:
 
 * `tangent_space(v)` linearizes the quadrics at v: T(v) is the kernel of
-  `polar2_rows(v)`, one elimination.  It has dimension m + n - 1 and
+  `polar2_rows(v)`, one `kernel`.  It has dimension m + n - 1 and
   equals the span of the two sheets through v.  It is a plain `Subspace`:
   a caller that meets it with several partners holds on to it.
 * `tangent_intersection(v, s)` restricts the polar rows of s to T(v):
@@ -46,7 +46,6 @@ from untensor.errors import (
 )
 from untensor.linalg import (
     Matrix,
-    Scaled,
     Subspace,
     Vector,
     integer_sqrt_exact,
@@ -90,12 +89,6 @@ class SheetPair:
         return (self.first.subspace, self.second.subspace)
 
 
-def _scaled_rows(m: Matrix) -> list[Scaled]:
-    """The rows of m as `Scaled` vectors over one common denominator."""
-    rows, den = m.integer_rows()
-    return [Scaled(row, den) for row in rows]
-
-
 def subspace_in_S(inst: TensorSpace, sub: Subspace) -> bool:
     """Complete test that a subspace lies inside S.
 
@@ -105,7 +98,7 @@ def subspace_in_S(inst: TensorSpace, sub: Subspace) -> bool:
     """
     if sub.ambient_dim != inst.dim:
         raise PreconditionViolated("ambient dimensions differ")
-    basis = _scaled_rows(sub.basis)
+    basis = sub.basis.scaled_rows()
     for i, b in enumerate(basis):
         if any(inst.minor_values(b).ints):
             return False
@@ -235,13 +228,13 @@ def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
         raise TrivialShape("foliation discovery needs both factors of dimension >= 2")
     anchor = tangent_space(inst, v)
     tangent_dim = anchor.dim
-    basis = _scaled_rows(anchor.basis)
+    basis = anchor.basis.scaled_rows()
     for i in range(1, tangent_dim + 3):
         t = linear_combination(basis, [i**j for j in range(tangent_dim)])
         meet = anchor.meet_kernel(inst.polar2_rows(t))
         if meet.dim != 2:
             continue
-        u = next(r for r in _scaled_rows(meet.basis) if proportionality_ratio(v, r) is None)
+        u = next(r for r in meet.basis.scaled_rows() if proportionality_ratio(v, r) is None)
         try:
             rays = _split_rays(inst, t, u)
         except Degenerate:
@@ -252,7 +245,10 @@ def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
             and first.dim + second.dim == tangent_dim + 1
             and subspace_in_S(inst, first)
             and subspace_in_S(inst, second)
-            and Matrix(first.basis.rows + second.basis.rows, inst.dim).rank() == tangent_dim
+            and Matrix.from_integer_rows(
+                first.basis.integer_rows()[0] + second.basis.integer_rows()[0], 1, inst.dim
+            ).rank()
+            == tangent_dim
         ):
             ordered = sorted((first, second), key=lambda s: (-s.dim, s.basis.rows))
             return SheetPair(first=Sheet(ordered[0]), second=Sheet(ordered[1]))

@@ -152,7 +152,7 @@ def recovered_pair(inst: TensorSpace, recon: Reconstruction) -> tuple[Sheet, She
     return (recon.sheet_w1, recon.sheet_w2, recon.w0)
 
 
-def _coordinate_map(basis: Sequence[Vector], images: Sequence[Vector]) -> Matrix | None:
+def _coordinate_map(basis: Sequence[Sequence], images: Sequence[Vector]) -> Matrix | None:
     """The matrix whose columns are the coordinates of the images in the
     basis of a sheet, or None unless the images span that sheet.
 
@@ -189,9 +189,9 @@ def _factor_maps(
     elif proportionality_ratio(recon_t.w0, image_w0) is None:
         raise PreconditionViolated("f does not carry the base ray to the target base ray")
 
-    images_e = [f.apply(e) for e in recon_s.basis_e]
-    images_f = [f.apply(v) for v in recon_s.basis_f]
-    targets = (recon_t.basis_e, recon_t.basis_f)
+    images_e = [f.matrix.apply(e) for e in recon_s.rows_e]
+    images_f = [f.matrix.apply(v) for v in recon_s.rows_f]
+    targets = (recon_t.rows_e, recon_t.rows_f)
     f1 = _coordinate_map(targets[0], images_e)
     crossed = f1 is None
     if crossed:

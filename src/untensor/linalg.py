@@ -39,11 +39,16 @@ never changed in place, so matrices may share them.  Rows that this module
 built itself enter a `Matrix` or `Subspace` through private constructors
 that skip the coercion and reduction of the public ones.
 
-`kernel` eliminates once, with the columns in reverse order: every pivot
-row then ends at its pivot, so the null vectors read off the free columns
-already are the canonical reduced basis.  `Subspace.meet_kernel` restricts
-a system to a subspace with a known basis K: it eliminates m·K, which has
-one column per basis vector, instead of m itself.
+`kernel` eliminates with the columns in reverse order: every pivot row
+then ends at its pivot, so the null vectors read off the free columns
+already are the canonical reduced basis.  A system with more rows than
+columns is taken in square blocks, since ker [A; B] = ker A ∩ ker B: the
+first ncols rows are eliminated, and the other rows are restricted to
+their null vectors, so no elimination has more rows than columns and no
+modulus, fallback or setting is involved.  `Subspace.meet_kernel` uses
+the same restriction for a subspace with a known basis K: it eliminates
+m·K, which has one column per basis vector, instead of m itself.
+`Matrix.rank` of a tall matrix counts its null vectors.
 
 Scalars serialize as "p/q" strings ("p" when the denominator is 1) and
 round-trip exactly.  `parse_integers` and `parse_matrix` read them from
@@ -301,6 +306,11 @@ class Matrix:
         """Integer rows with the same row space, in a fresh list for `_eliminate`."""
         return [ints for ints, _ in self._cleared()]
 
+    def scaled_rows(self) -> list[Scaled]:
+        """The rows as `Scaled` vectors, each over its own denominator made
+        positive.  A row is shared, not copied, where its sign stays."""
+        return [Scaled(ints, den) if den > 0 else Scaled([-x for x in ints], -den) for ints, den in self._cleared()]
+
     def integer_rows(self) -> tuple[list[list[int]], int]:
         """(rows, den) with this matrix == rows / den: integer rows over one
         positive common denominator (not always the least one).  A row
@@ -382,6 +392,10 @@ class Matrix:
     # -- elimination-based queries ------------------------------------------
 
     def rank(self) -> int:
+        """The row rank; a matrix with more rows than columns counts its
+        null vectors instead, which `_null_vectors` finds in square blocks."""
+        if self.nrows > self.ncols:
+            return self.ncols - len(_null_vectors(self._elimination_rows(), self.ncols))
         return len(_eliminate(self._elimination_rows(), self.ncols)[0])
 
     def det(self) -> Fraction:
@@ -485,7 +499,17 @@ def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], in
     the other free columns is 0 left of f as well.  Taken by increasing f,
     these vectors are the canonical reduced-echelon basis of the kernel;
     each is returned scaled to integers, with z[f] > 0.
+
+    A system with more rows than columns is taken in square blocks, since
+    ker [A; B] = ker A ∩ ker B: the null vectors K of the first ncols rows
+    come from one elimination, and the other rows are restricted to K
+    (`_restricted_null_vectors`), so no elimination has more rows than
+    columns.  The vectors lifted back from K keep the contract above, and
+    each is primitive: dividing out its content keeps the entries small.
     """
+    if len(rows) > ncols:
+        head = _null_vectors(rows[:ncols], ncols)
+        return _restricted_null_vectors(rows[ncols:], [z for z, _ in head], [f for _, f in head])
     pivots, _ = _eliminate(rows, ncols, reverse=True)
     pivot_rows = list(zip(pivots, rows))
     pivot_set = set(pivots)
@@ -500,6 +524,32 @@ def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], in
         for c, row in hits:
             z[c] = -row[f] * (scale // row[c])
         out.append((z, f))
+    return out
+
+
+def _restricted_null_vectors(
+    rows: list[list[int]], basis: list[list[int]], leads: list[int]
+) -> list[tuple[list[int], int]]:
+    """The null vectors of the integer rows inside the span of basis, as
+    (x, leads[g]) with x primitive.
+
+    x = sum w_i k_i lies in the kernel exactly when w is a null vector of
+    the restricted rows [row · k_i over i], one integer dot product per
+    pair; rows that restrict to zero are dropped.  Each basis vector k_i
+    must be zero left of its lead column leads[i] and at the leads of the
+    others, with increasing leads.  Since a null vector (w, g) is zero left
+    of g and at the other free columns, x is zero left of leads[g] and at
+    the leads of the other results, and x[leads[g]] = w_g k_g[leads[g]]:
+    up to scale, the results are the canonical basis of the meet, and
+    x[leads[g]] > 0 when every k_i is positive at its lead.
+    """
+    restricted = [r for r in ([sum(map(mul, row, k)) for k in basis] for row in rows) if any(r)]
+    columns = list(zip(*basis))
+    out = []
+    for w, g in _null_vectors(restricted, len(basis)):
+        x = [sum(map(mul, w, col)) for col in columns]
+        content = gcd(*x)
+        out.append(([a // content for a in x], leads[g]))
     return out
 
 
@@ -573,12 +623,13 @@ def solve_linear(a: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
 
 
 class Subspace:
-    """A linear subspace held by its canonical reduced-echelon basis."""
+    """A linear subspace held by its canonical reduced-echelon basis.  It is
+    spanned by vectors in either form."""
 
     __slots__ = ("basis", "ambient_dim")
 
     def __init__(self, vectors: Iterable[Sequence], ambient_dim: int):
-        rows = [to_integers(vector(v))[0] for v in vectors]
+        rows = [(v if type(v) is Scaled else to_integers(vector(v))).ints for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch.of(ambient_dim, len(r))
@@ -650,24 +701,15 @@ class Subspace:
 
         With K the basis, x = K·c lies in the kernel of m exactly when
         (m·K)·c = 0, so only m·K, one column per basis vector, is
-        eliminated.  The basis rows are cleared to integers k_i / den_i;
-        for each null vector z of the integer product, x = sum z_i k_i.
-        Since K is in reduced echelon form with lead columns p_i, and z is
-        0 left of its free column f and at the other free columns, x is 0
-        left of p_f and at the lead columns of the other null vectors:
-        divided by x[p_f], these x are the canonical basis of the meet.
+        eliminated (`_restricted_null_vectors`).  K is in reduced echelon
+        form, with lead columns p_i, so each lifted x divided by x[p_g] is
+        a row of the canonical basis of the meet.
         """
         if m.ncols != self.ambient_dim:
             raise DimensionMismatch.of(self.ambient_dim, m.ncols)
         basis = self.basis._elimination_rows()
-        product = [[sum(map(mul, row, k)) for k in basis] for row in m._elimination_rows()]
-        rows = []
-        for z, f in _null_vectors(product, len(basis)):
-            x = [0] * self.ambient_dim
-            for zi, k in zip(z, basis):
-                if zi:
-                    x = [a + zi * b for a, b in zip(x, k)]
-            rows.append((x, x[first_nonzero_index(basis[f])]))
+        leads = [first_nonzero_index(k) for k in basis]
+        rows = [(x, x[c]) for x, c in _restricted_null_vectors(m._elimination_rows(), basis, leads)]
         return Subspace._reduced(Matrix._trusted(rows, self.ambient_dim))
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -686,7 +728,8 @@ class Subspace:
 def kernel(m: Matrix) -> Subspace:
     """The solution space {x : m·x = 0}; dimension = ncols - rank.
 
-    One elimination gives the canonical basis directly (see `_null_vectors`).
+    `_null_vectors` gives the canonical basis directly: one elimination,
+    or for a tall m one per square block.
     """
     null = _null_vectors(m._elimination_rows(), m.ncols)
     return Subspace._reduced(Matrix._trusted([(z, z[f]) for z, f in null], m.ncols))

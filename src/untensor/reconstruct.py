@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from random import Random
 from typing import Sequence
@@ -71,6 +72,7 @@ from untensor.linalg import (
     rank_one_split,
     ray_generator,
     to_integers,
+    vector,
     vzero,
 )
 from untensor.squares import common_root, complete_square
@@ -80,9 +82,12 @@ from untensor.tensor_space import TensorSpace
 class Reconstruction:
     """A recovered factor pair anchored at a base point.
 
-    `basis_e` and `basis_f` default to the canonical echelon bases of the
-    two sheets; `with_bases` swaps in other bases of the same sheets, which
-    is how the joint-rescaling invariance gets exercised.
+    The bases default to the canonical echelon bases of the two sheets;
+    `with_bases` swaps in other bases of the same sheets, which is how the
+    joint-rescaling invariance gets exercised.  Both are kept as `Scaled`
+    rows, `rows_e` and `rows_f`, which every computation reads; the
+    Fraction vectors `basis_e` and `basis_f` are built the first time they
+    are read.  Given bases may come in either form.
     """
 
     def __init__(
@@ -91,17 +96,25 @@ class Reconstruction:
         w0: Vector,
         pair: SheetPair,
         *,
-        basis_e: tuple[Vector, ...] | None = None,
-        basis_f: tuple[Vector, ...] | None = None,
+        basis_e: Sequence[Sequence] | None = None,
+        basis_f: Sequence[Sequence] | None = None,
     ):
         self.inst = inst
         self.w0 = tuple(w0)
         self.pair = pair
-        self.basis_e = tuple(tuple(v) for v in basis_e) if basis_e else pair.first.subspace.basis.rows
-        self.basis_f = tuple(tuple(v) for v in basis_f) if basis_f else pair.second.subspace.basis.rows
+        self.rows_e = [to_integers(v) for v in basis_e] if basis_e else pair.first.subspace.basis.scaled_rows()
+        self.rows_f = [to_integers(v) for v in basis_f] if basis_f else pair.second.subspace.basis.scaled_rows()
         self._canonical = (not basis_e, not basis_f)
         self._phi: Matrix | None = None
         self._phi_inv: Matrix | None = None
+
+    @cached_property
+    def basis_e(self) -> tuple[Vector, ...]:
+        return tuple(v.fractions() for v in self.rows_e)
+
+    @cached_property
+    def basis_f(self) -> tuple[Vector, ...]:
+        return tuple(v.fractions() for v in self.rows_f)
 
     @property
     def sheet_w1(self) -> Sheet:
@@ -116,8 +129,8 @@ class Reconstruction:
         return self.pair.dims
 
     def with_bases(self, basis_e: Sequence[Sequence], basis_f: Sequence[Sequence]) -> "Reconstruction":
-        basis_e = tuple(tuple(Fraction(x) for x in v) for v in basis_e)
-        basis_f = tuple(tuple(Fraction(x) for x in v) for v in basis_f)
+        basis_e = [to_integers(vector(v)) for v in basis_e]
+        basis_f = [to_integers(vector(v)) for v in basis_f]
         if Subspace(basis_e, self.inst.dim) != self.sheet_w1.subspace or len(basis_e) != self.dims[0]:
             raise MembershipViolated("basis_e must be a basis of the first sheet")
         if Subspace(basis_f, self.inst.dim) != self.sheet_w2.subspace or len(basis_f) != self.dims[1]:
@@ -166,8 +179,7 @@ class Reconstruction:
         """
         if self._phi is None:
             w0 = to_integers(self.w0)
-            es = [to_integers(e) for e in self.basis_e]
-            fs = [to_integers(f) for f in self.basis_f]
+            es, fs = self.rows_e, self.rows_f
             a = self._w0_coordinates(es, self.sheet_w1, self._canonical[0])
             b = self._w0_coordinates(fs, self.sheet_w2, self._canonical[1])
             p, q = first_nonzero_index(a.ints), first_nonzero_index(b.ints)
@@ -279,7 +291,7 @@ class Reconstruction:
     def coefficient_grid(self, v: Sequence) -> Matrix:
         """v pulled back through the product map, as a dims[0] x dims[1]
         grid of integer rows; no Fraction is built."""
-        ints, vden = to_integers(tuple(v))
+        ints, vden = to_integers(v)
         rows, den = self.product_matrix_inverse.integer_rows()
         coeffs = [sum(map(mul, row, ints)) for row in rows]
         d1, d2 = self.dims
@@ -292,16 +304,16 @@ class Reconstruction:
         split by `rank_one_split`, so the first factor's leading coefficient
         is 1, and the zero vector factors as (0, 0).
         """
-        v = tuple(v)
+        v = to_integers(tuple(v))
         if not self.inst.is_simple(v):
             raise NotSimpleVector("only members of the cone factor")
-        if is_zero_vector(v):
+        if not any(v.ints):
             return (vzero(self.inst.dim), vzero(self.inst.dim))
         split = rank_one_split(self.coefficient_grid(v))
         if split is None:
             raise RankViolation("coefficient grid of a simple vector has rank >= 2")
         cvec, rvec = split
-        return (linear_combination(self.basis_e, cvec).fractions(), linear_combination(self.basis_f, rvec).fractions())
+        return (linear_combination(self.rows_e, cvec).fractions(), linear_combination(self.rows_f, rvec).fractions())
 
     def tensor_rank(self, v: Sequence) -> int:
         """Minimum number of simple summands: the rank of the coefficient grid."""
@@ -447,8 +459,8 @@ def verify_round_trip(inst: TensorSpace, recon: Reconstruction) -> RoundTripRepo
     # d independent members of a d-dimensional hidden sheet span it, and
     # only multiples of w0 lie in both hidden sheets, so at most one
     # orientation splits a basis of two or more vectors.
-    grids_e = [inst.hidden_coordinates(e) for e in recon.basis_e]
-    grids_f = [inst.hidden_coordinates(f) for f in recon.basis_f]
+    grids_e = [inst.hidden_coordinates(e) for e in recon.rows_e]
+    grids_f = [inst.hidden_coordinates(f) for f in recon.rows_f]
     for swap in (False, True):
         if recon.dims != ((n, m) if swap else (m, n)):
             continue

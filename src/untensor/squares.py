@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.foliation import _scaled_rows, _split_rays, same_sheet
+from untensor.foliation import _split_rays, same_sheet
 from untensor.linalg import (
     Scaled,
     Subspace,
@@ -171,7 +171,7 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
         raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
     if not plane.contains(a):
         raise PreconditionViolated("the corner rays do not brace the square: a is off the plane of b and c")
-    p = next(row for row in _scaled_rows(plane.basis) if proportionality_ratio(a_ints, row) is None)
+    p = next(row for row in plane.basis.scaled_rows() if proportionality_ratio(a_ints, row) is None)
     u = next(g for g in _split_rays(inst, a_ints, p) if proportionality_ratio(a_ints, g) is None)
     s = linear_combination((a, b, c), (1, 1, 1))
     t = common_root(inst.minor_values(s), inst.polar2_values(s, u))

@@ -144,9 +144,11 @@ class TestTangentIntersection:
         meet = tangent_intersection(inst, v, s)
         # Both points are checked and their polar rows read.  The rows of v are eliminated in
         # full; those of s only in the restricted system, one column per basis vector of T(v).
+        # That system has 9 rows and 5 columns, so it is taken in square blocks: its first 5
+        # rows leave 2 null vectors, to which the other 4 rows are restricted.
         assert queries == [("is_simple", v), ("polar2_rows", v), ("is_simple", s), ("polar2_rows", s)]
         assert inst.stats.oracle_calls == calls + 4
-        assert eliminated == [inst.dim, dim]
+        assert eliminated == [inst.dim, dim, 2]
         assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])

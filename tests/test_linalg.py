@@ -1,6 +1,7 @@
 import ast
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -387,6 +388,54 @@ class TestKernel:
         # Column p of the polar rows is the polar form of v against e_p.
         columns = [inst.polar2_values(v, e).fractions() for e in Matrix.identity(inst.dim).rows]
         assert rows.rows == tuple(zip(*columns))
+
+
+@st.composite
+def tall_integer_rows(draw):
+    """(rows, ncols) with more rows than columns, up to 3 ncols: all zero,
+    or combinations of a few generator rows (full column rank when the
+    generators are unit triangular rows placed among them), with zero rows."""
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    nrows = draw(st.integers(min_value=ncols + 1, max_value=max(3 * ncols, ncols + 1)))
+    kind = draw(st.sampled_from(["zero", "planted", "full"]))
+    if kind == "zero":
+        return [[0] * ncols for _ in range(nrows)], ncols
+    if kind == "full":
+        gens = [[1 if j == i else draw(small_ints) if j > i else 0 for j in range(ncols)] for i in range(ncols)]
+    else:
+        gens = draw(st.lists(st.lists(small_ints, min_size=ncols, max_size=ncols), max_size=ncols))
+    coeffs = st.lists(st.integers(min_value=-3, max_value=3), min_size=len(gens), max_size=len(gens))
+    rows = list(gens) if kind == "full" else []
+    while len(rows) < nrows:
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            rows.append([0] * ncols)
+        else:
+            cs = draw(coeffs)
+            rows.append([sum(c * g[j] for c, g in zip(cs, gens)) for j in range(ncols)])
+    order = draw(st.permutations(range(nrows)))
+    return [rows[i] for i in order], ncols
+
+
+class TestTallKernels:
+    """Systems with more rows than columns are taken in square blocks."""
+
+    @settings(max_examples=200)
+    @given(tall_integer_rows())
+    def test_block_rule(self, system):
+        rows, ncols = system
+        m = Matrix.from_integer_rows(rows, 1, ncols)
+        rank = len(linalg._eliminate([list(r) for r in rows], ncols)[0])
+        k = kernel(m)
+        assert all(not any(m.apply(v)) for v in k.basis.rows)
+        assert k.dim == ncols - rank
+        assert k.basis == Subspace(k.basis.rows, ncols).basis
+        assert m.rank() == rank
+        null = linalg._null_vectors([list(r) for r in rows], ncols)
+        free = [f for _, f in null]
+        assert free == sorted(free)
+        for z, f in null:
+            assert z[f] > 0 and not any(z[:f]) and not any(z[g] for g in free if g != f)
+            assert gcd(*z) == 1
 
 
 class TestSubspace:

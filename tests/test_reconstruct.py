@@ -284,6 +284,22 @@ class TestProductMatrix:
         assert report.success and report.to_payload()["lambda"] == lam
         assert (report.oracle_calls, report.samples_used) == (35, 0)
 
+    def test_bases_stay_integer_rows_until_read(self):
+        # Recovery, phi and the round trip read the Scaled rows of the bases;
+        # the Fraction bases are built on first read, with the same values.
+        inst = generate_instance((3, 4), 5, pointed=True)
+        recon = recover_factors(inst, Random(0))
+        assert verify_round_trip(inst, recon).success
+        assert "basis_e" not in vars(recon) and "basis_f" not in vars(recon)
+        assert all(den > 0 for _, den in recon.rows_e + recon.rows_f)
+        assert recon.basis_e == recon.sheet_w1.subspace.basis.rows
+        assert recon.basis_f == recon.sheet_w2.subspace.basis.rows
+        # Given bases are cleared once, from any scalar form.
+        other = recon.with_bases([[str(x) for x in e] for e in recon.basis_e[::-1]], recon.basis_f)
+        assert all(type(e) is linalg.Scaled for e in other.rows_e)
+        assert other.basis_e == recon.basis_e[::-1]
+        assert verify_round_trip(inst, other).success
+
     def test_recovery_leaves_the_inverse_unbuilt(self, monkeypatch):
         inverted = []
         invert = linalg.inverse_and_determinant

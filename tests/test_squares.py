@@ -3,10 +3,10 @@ from random import Random
 
 import pytest
 
-from untensor import squares
+from untensor import linalg, squares
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
 from untensor.linalg import Scaled, Subspace, proportionality_ratio, vadd, vscale
-from untensor.squares import Square, complete_square, complete_square_details, is_square
+from untensor.squares import Completion, Square, complete_square, complete_square_details, is_square
 from untensor.tensor_space import build_instance, generate_instance
 
 
@@ -181,6 +181,27 @@ class TestGenericCompletion:
             assert details.case == "generic"
             assert details.d == inst.embed_simple(alpha, beta)
             assert details.scale == next(x for x in details.d if x != 0)
+
+    def test_generic_4x4_plane_work(self, monkeypatch):
+        # The plane T(b) ∩ T(c) in square blocks: the 36x16 polar rows of b
+        # as a 16-row block and its 4 nonzero restricted rows, then the 36x7
+        # meet with c as blocks of 7, 3 and 0 rows.  No elimination has more
+        # rows than columns.
+        inst = generate_instance((4, 4), 3)
+        alpha0, alpha, beta0, beta = (1, 2, 0, -1), (3, -1, 1, 0), (2, 0, 1, 1), (0, 1, -1, 3)
+        eliminated = []
+        eliminate = linalg._eliminate
+
+        def counted(rows, ncols, **kwargs):
+            eliminated.append((len(rows), ncols))
+            return eliminate(rows, ncols, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        details = complete_square_details(
+            inst, inst.embed_simple(alpha0, beta0), inst.embed_simple(alpha0, beta), inst.embed_simple(alpha, beta0)
+        )
+        assert eliminated == [(16, 16), (4, 8), (7, 7), (3, 3), (0, 2)]
+        assert details == Completion(inst.embed_simple(alpha, beta), "generic", F(-38))
 
 
 class TestGenericFailures:
