@@ -110,10 +110,9 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
     values of the form itself on (f e_p, f e_q).  So S holds the source's
     `polar2_values` on the unit pairs, T holds the target's on their
     images, one column per quadric, and containment is rank(S) ==
-    rank([S | T]).  The det^2 scale of each oracle rescales whole columns
-    and leaves both ranks unchanged.  The answers stay integers: the row of
-    pair (p, q) is [s / Ds | t / Dt], and scaling it by Ds * Dt > 0 gives
-    the integer row [s Dt | t Ds] with the same ranks.
+    rank([S | T]).  The answers stay integers: the row of pair (p, q) is
+    [s / Ds | t / Dt], and scaling it by Ds * Dt > 0 gives the integer row
+    [s Dt | t Ds] with the same ranks.
     """
     if f.source.dim != f.target.dim:
         return False

@@ -20,12 +20,13 @@ canonical representative: two subspaces are equal iff their bases compare
 equal, and a ray (one-dimensional subspace) has a canonical generator whose
 first nonzero coordinate is 1.
 
-Every elimination (`rank`, `kernel`, `inverse`, `solve_linear`,
-`determinant` and the `Subspace` reductions) runs through one integer core,
-`_eliminate`: each row is scaled by the lcm of its denominators, rows are
-combined fraction-free over Python `int` with their gcd content divided out
-after every update (Bareiss 1968 keeps the same integrality with exact
-quotients).
+Every elimination runs through one integer core, `_eliminate`: each row is
+scaled by the lcm of its denominators, rows are combined fraction-free over
+Python `int` with their gcd content divided out after every update
+(Bareiss 1968 keeps the same integrality with exact quotients).  Four
+functions call it: `_null_vectors`, which every kernel, meet, tall rank and
+solve reads, `Matrix.rank`, `inverse_and_determinant` and the `Subspace`
+reduction.
 
 A `Matrix` holds its entries in one of two forms: Fraction rows, or integer
 rows with one nonzero denominator per row.  The public constructor makes
@@ -48,7 +49,11 @@ their null vectors, so no elimination has more rows than columns and no
 modulus, fallback or setting is involved.  `Subspace.meet_kernel` uses
 the same restriction for a subspace with a known basis K: it eliminates
 m·K, which has one column per basis vector, instead of m itself.
-`Matrix.rank` of a tall matrix counts its null vectors.
+`Matrix.rank` of a tall matrix counts its null vectors.  `_solve_columns`
+reads every solution off the same null vectors, since solving a·x = b is
+finding the null vector of [-b | a] that is 1 at the b column: a solve
+and a kernel take a tall system by one rule, whatever the right-hand
+side.
 
 Scalars serialize as "p/q" strings ("p" when the denominator is 1) and
 round-trip exactly.  `parse_integers` and `parse_matrix` read them from
@@ -581,38 +586,35 @@ def determinant(m: Matrix) -> Fraction:
 
 
 def _solve_columns(a: Matrix, columns: Sequence[Sequence]) -> list[Scaled | None]:
-    """One solution of a·x = b for every right-hand side b in columns, from
-    one elimination; None for a b outside the column space of a.  The
-    columns may come in either form, and each solution is a `Scaled`.
+    """One solution of a·x = b for every right-hand side b in columns, read
+    off the null vectors of one system; None for a b outside the column
+    space of a.  The columns may come in either form, and each solution is
+    a `Scaled`.
 
-    Each row of a and each b is cleared to integers once.  Scaling b by its
-    own denominator D scales its solution by D, so row i of the integer
-    system is [a_i * den_i | den_i * D_b * b_i for each b], and the
-    elimination pivots in the columns of a only, carrying the right-hand
-    sides along.  Afterwards a b is consistent exactly when every row
-    without a pivot is zero in its column, and its solution, with the free
-    variables 0, reads off the pivot rows over the lcm of their pivots.
+    Solving a·x = b is finding the null vector of [-b | a] that is 1 at
+    the b column.  Row i of a is ints_i / den_i and b_j is B_j / D_j, so
+    row i of the integer system is [-den_i B_j[i] for each j] followed by
+    ints_i reversed: the k right-hand sides first, then the columns of a
+    from the last to the first.  `_null_vectors` eliminates from the last
+    column, so it takes the columns of a first and in their own order, and
+    their pivot and free columns are those of a alone.  b_j is consistent
+    exactly when column j is free and its null vector z is zero at the
+    other right-hand sides; the solution, with the free variables of a set
+    to 0, is then z's last n entries reversed, over z[j] D_j.  A b whose
+    column is a pivot, or that needs another b (a multiple of an
+    inconsistent b, say), gets None.
     """
     cleared = [to_integers(b) for b in columns]
     if any(len(ints) != a.nrows for ints, _ in cleared):
         raise ValueError("right-hand side length does not match row count")
-    n = a.ncols
-    rows = []
-    for i, (ints, den) in enumerate(a._cleared()):
-        rows.append(ints + [den * b[i] for b, _ in cleared])
-    pivots, _ = _eliminate(rows, n)
-    rank = len(pivots)
-    common = lcm(*[row[c] for row, c in zip(rows, pivots)])
-    ups = [(c, row, common // row[c]) for row, c in zip(rows, pivots)]
-    out: list[Scaled | None] = []
-    for k, (_, bden) in enumerate(cleared, start=n):
-        if any(row[k] for row in rows[rank:]):
-            out.append(None)
-            continue
-        x = [0] * n
-        for c, row, up in ups:
-            x[c] = row[k] * up
-        out.append(Scaled(x, common * bden))
+    k = len(cleared)
+    rows = [[-den * b[i] for b, _ in cleared] + ints[::-1] for i, (ints, den) in enumerate(a._cleared())]
+    out: list[Scaled | None] = [None] * k
+    for z, j in _null_vectors(rows, k + a.ncols):
+        if j >= k:
+            break
+        if not any(z[j + 1 : k]):
+            out[j] = Scaled(z[k:][::-1], z[j] * cleared[j].den)
     return out
 
 

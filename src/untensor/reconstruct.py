@@ -14,10 +14,12 @@ definition.  `product_matrix` builds the d1 * d2 products of basis
 vectors without completing a square.  With p and q the first basis
 vectors on which w0 has a nonzero coordinate, the (d1 - 1)(d2 - 1) pairs
 off the w0 row p and column q come together from linear conditions at
-w0: one elimination of the polar rows of w0 with every right-hand side
-carried along, one small elimination per basis vector for the parts in
-W1 and W2, and one linear equation for the scale along w0 (see
-`_generic_products`).  Bilinearity and the stipulations then fill row p
+w0: one batched solve against the polar rows of w0, with every right-hand
+side in the same system, one small batched solve per basis vector for the
+parts in W1 and W2, and one linear equation for the scale along w0 (see
+`_generic_products`).  Each solve is read off the null vectors of one
+system (`linalg._solve_columns`), so a tall one is taken in square blocks,
+as a tall kernel is.  Bilinearity and the stipulations then fill row p
 and column q as linear combinations of basis vectors and those products.
 The vectors passed between these steps are `Scaled` integers, and φ is
 born as integer rows.  One rank of φ checks that the products span V;
@@ -227,8 +229,8 @@ class Reconstruction:
         pin it (B is the polar form of every quadric at once):
 
         1. In Q(w0 + e + f + d) = 0 every other term vanishes, so
-           2B(w0, d) = -2B(e, f).  One elimination of `polar2_rows(w0)`
-           solves this for all pairs, giving a d0 with d - d0 in the
+           2B(w0, d) = -2B(e, f).  One batched solve against
+           `polar2_rows(w0)` covers all pairs, giving a d0 with d - d0 in the
            tangent space T(w0) = W1 + W2.
         2. d shares a sheet with e and one with f, and B(e, .) vanishes on
            W1, B(f, .) on W2.  So B(e_j, d) = 0 fixes the W2 part of d - d0
@@ -244,10 +246,9 @@ class Reconstruction:
         2B(e, f) table among them), the solutions y, the W1 and W2 parts,
         d' and the products d, each integers over one positive denominator,
         and common_root compares the quadrics by cross-multiplying them; s
-        is the one Fraction per product.  The oracle scales every value by
-        the same det^2, which cancels in each of the three solves.  An
-        inconsistent solve or disagreeing quadrics raise InconsistentSquare,
-        and a scale no quadric pins raises Degenerate.
+        is the one Fraction per product.  An inconsistent solve or
+        disagreeing quadrics raise InconsistentSquare, and a scale no
+        quadric pins raises Degenerate.
         """
         if not es or not fs:
             return {}

@@ -30,32 +30,32 @@ vector arguments in either form:
 * `binary_restriction(d1, d2)` is the three answers Q(d1), 2*B(d1, d2)
   and Q(d2), each a `Scaled` over all quadrics;
 * row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the columns of
-  the adjugate.  That row is one integer combination of the four adjugate
-  rows a, b, c, d of minor k, with the hidden coordinates of v as
+  the inverse scramble.  That row is one integer combination of the four
+  inverse rows a, b, c, d of minor k, with the hidden coordinates of v as
   coefficients, and the rows reach `linalg` as integers over one common
   denominator (`Matrix.from_integer_rows`).
 
-Here u / q are the scaled hidden coordinates of v (see below).  No Fraction
+Here u / q are the hidden coordinates of v (see below).  No Fraction
 is built for an answer unless a caller asks for it (`Scaled.fractions`,
 `Matrix.rows`), which no recovery path does.  None of these public methods
 calls another, so each query bumps `oracle_calls` once.
 
-The hidden coordinates come from the adjugate of the scramble, which
-multiplies every quadric value by the fixed positive constant
-det(scramble)^2.  The scaled values therefore have exactly the same zero
-sets, kernels, and solution ratios as the exact forms; `quadric_values`
-and `QuadraticForm.evaluate` divide the constant back out when the true
-values matter.  `quadrics` (the pulled-back Gram matrices) stays the
-independent reference the form is tested against.
+Every answer is the exact value of its forms, so `quadric_values` is
+`minor_values` read as Fractions, and `quadrics` (the pulled-back Gram
+matrices) stays the independent reference the form is tested against.
 
-The adjugate is stored once as integer rows over one positive common
-denominator (1 for an integer scramble), taken from the integer rows of
-the inverse that eliminating the scramble yields, so the inverse's
-Fractions are never built for it.  An oracle query clears the
-denominators of its input vector, once, in `_scaled_hidden`, evaluates the
-form with integer arithmetic and keeps no per-instance cache of
-unscrambled vectors.  `hidden_coordinates` reads the same integers, so the
-grids that verification inspects are integer matrices as well.
+The inverse scramble is stored once as integer rows over one positive
+common denominator, with their common gcd divided out, taken from the
+integer rows that eliminating the scramble yields, so the inverse's
+Fractions are never built for it.  For an integer scramble these are the
+rows of the adjugate divided by its content, up to sign, so the oracle
+multiplies no integer larger than an adjugate entry; the determinant
+shows in the denominators of the answers instead.  An oracle query
+clears the denominators of its input vector, once, in `_scaled_hidden`,
+evaluates the form with integer arithmetic and keeps no per-instance
+cache of unscrambled vectors.  `hidden_coordinates` reads the same
+integers, so the grids that verification inspects are integer matrices
+as well.
 """
 
 from __future__ import annotations
@@ -204,23 +204,19 @@ class TensorSpace:
         if scramble.shape != (shape.dim, shape.dim):
             raise DimensionMismatch.of((shape.dim, shape.dim), scramble.shape)
         _check_sampler_range(sampler_range)
-        inverse, det = inverse_and_determinant(scramble)
+        inverse, _ = inverse_and_determinant(scramble)
         if inverse is None:
             raise ValueError("scramble must be invertible")
         self.shape = shape
         self.dim = shape.dim
         self.scramble = scramble
         self.scramble_inverse = inverse
-        # det * inverse is the adjugate, held as integer rows over its least
-        # common denominator _adj_den (1 whenever the scramble is integral).
+        # The inverse as integer rows over one positive denominator _inv_den,
+        # with the common gcd of rows and denominator divided out.
         rows, den = inverse.integer_rows()
-        rows = [[x * det.numerator for x in row] for row in rows]
-        den *= det.denominator
         g = gcd(den, *[x for row in rows for x in row])
-        self._adj_den = den // g
-        self._adj_rows = tuple([x // g for x in row] for row in rows)
-        self._det = det
-        self._det2 = det * det
+        self._inv_den = den // g
+        self._inv_rows = tuple([x // g for x in row] for row in rows)
         self.seed = seed
         self.sampler_range = sampler_range
         self._fault_index = _fault_index
@@ -258,39 +254,38 @@ class TensorSpace:
         return self._quadrics
 
     def _scaled_hidden(self, v: Sequence) -> tuple[list[int], int]:
-        """adjugate * v as (u, q): integers u over one positive denominator q.
+        """inverse * v as (u, q): integers u over one positive denominator q.
 
         v may be a `Scaled` or a sequence of Fractions; this is the one
-        place that clears it.  u / q are the hidden coordinates of v scaled
-        by det(scramble).  The integer adjugate rows make this cheap enough
-        to recompute on every query, so no per-instance cache of
-        unscrambled vectors is kept.  Every query passes here first, so a
-        vector of the wrong length is refused here, before it counts as an
-        oracle call.
+        place that clears it.  u / q are the hidden coordinates of v.  The
+        integer inverse rows make this cheap enough to recompute on every
+        query, so no per-instance cache of unscrambled vectors is kept.
+        Every query passes here first, so a vector of the wrong length is
+        refused here, before it counts as an oracle call.
         """
         ints, den = to_integers(v)
         if len(ints) != self.dim:
             raise DimensionMismatch.of(self.dim, len(ints))
-        return [sum(map(mul, row, ints)) for row in self._adj_rows], den * self._adj_den
+        return [sum(map(mul, row, ints)) for row in self._inv_rows], den * self._inv_den
 
     def _polar2(self, u: Sequence[int], w: Sequence[int]) -> list[int]:
         """2*B_k(u, w) for every minor k, over the integers.
 
-        u and w are hidden coordinates (scaled by det, over their own
-        denominators); minor k = (a, b, c, d, sign) reads
-        x_a x_d - sign * x_b x_c, so 2*B_k(u, u) is twice its value.
+        u and w are hidden coordinates over their own denominators; minor
+        k = (a, b, c, d, sign) reads x_a x_d - sign * x_b x_c, so
+        2*B_k(u, u) is twice its value.
         """
         return [u[a] * w[d] + u[d] * w[a] - sign * (u[b] * w[c] + u[c] * w[b]) for a, b, c, d, sign in self._minors]
 
     def minor_values(self, v: Sequence) -> Scaled:
-        """All quadric values at v, scaled by the fixed constant det^2."""
+        """All quadric values at v."""
         u, q = self._scaled_hidden(v)
         self.stats.oracle_calls += 1
         return Scaled(self._polar2(u, u), 2 * q * q)
 
     def quadric_values(self, v: Sequence) -> tuple[Fraction, ...]:
         """Exact values of every quadric at v."""
-        return tuple(x / self._det2 for x in self.minor_values(v).fractions())
+        return self.minor_values(v).fractions()
 
     def is_simple(self, v: Sequence) -> bool:
         """Whether v lies on the common zero locus of all the quadrics."""
@@ -299,7 +294,7 @@ class TensorSpace:
         return not any(self._polar2(u, u))
 
     def polar2_values(self, x: Sequence, y: Sequence) -> Scaled:
-        """2*B_k(x, y) for every quadric, scaled by det^2."""
+        """2*B_k(x, y) for every quadric."""
         u, qu = self._scaled_hidden(x)
         w, qw = self._scaled_hidden(y)
         self.stats.oracle_calls += 1
@@ -308,22 +303,21 @@ class TensorSpace:
     def polar2_rows(self, v: Sequence) -> Matrix:
         """The stacked linear functionals w -> 2*B_k(v, w), one row per quadric.
 
-        Column p holds the form against column p of the adjugate, so for
-        minor k = (a, b, c, d, sign) and u the hidden coordinates of v, row k
-        is u_d adj_a + u_a adj_d - sign * (u_c adj_b + u_b adj_c) over the
-        adjugate rows.  Rows share the det^2 scale, so kernels and solution
-        ratios agree with the exact polarizations.
+        Column p holds the form against column p of the inverse scramble,
+        so for minor k = (a, b, c, d, sign) and u the hidden coordinates of
+        v, row k is u_d inv_a + u_a inv_d - sign * (u_c inv_b + u_b inv_c)
+        over the inverse rows.
         """
         u, q = self._scaled_hidden(v)
         self.stats.oracle_calls += 1
-        adj = self._adj_rows
+        inv = self._inv_rows
         rows = []
         for a, b, c, d, sign in self._minors:
             ca, cb, cc, cd = u[d], -sign * u[c], -sign * u[b], u[a]
             rows.append(
-                [ca * xa + cb * xb + cc * xc + cd * xd for xa, xb, xc, xd in zip(adj[a], adj[b], adj[c], adj[d])]
+                [ca * xa + cb * xb + cc * xc + cd * xd for xa, xb, xc, xd in zip(inv[a], inv[b], inv[c], inv[d])]
             )
-        return Matrix.from_integer_rows(rows, q * self._adj_den, self.dim)
+        return Matrix.from_integer_rows(rows, q * self._inv_den, self.dim)
 
     def binary_restriction(self, d1: Sequence, d2: Sequence) -> tuple[Scaled, Scaled, Scaled]:
         """Every quadric restricted to span{d1, d2}: (A, B2, C) with
@@ -358,13 +352,11 @@ class TensorSpace:
         return self.scramble.apply(flat)
 
     def hidden_coordinates(self, v: Sequence) -> Matrix:
-        """Unscrambled m-by-n grid of v, as integer rows: the scaled hidden
-        coordinates u / q divided by det.  Verification and test use only."""
+        """Unscrambled m-by-n grid of v, as integer rows: the hidden
+        coordinates u / q.  Verification and test use only."""
         u, q = self._scaled_hidden(v)
-        n, det = self.shape.n, self._det
-        if det.denominator != 1:
-            u = [x * det.denominator for x in u]
-        return Matrix.from_integer_rows([u[i * n : (i + 1) * n] for i in range(self.shape.m)], q * det.numerator, n)
+        n = self.shape.n
+        return Matrix.from_integer_rows([u[i * n : (i + 1) * n] for i in range(self.shape.m)], q, n)
 
     def hidden_rank(self, v: Sequence[Fraction]) -> int:
         return self.hidden_coordinates(v).rank()

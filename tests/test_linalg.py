@@ -204,6 +204,36 @@ class TestMatrixBoundary:
         assert reads == []
 
 
+class TestEliminationCore:
+    READERS = frozenset(
+        {
+            "linalg.py:_null_vectors",
+            "linalg.py:Subspace.__init__",
+            "linalg.py:Matrix.rank",
+            "linalg.py:inverse_and_determinant",
+        }
+    )
+
+    def test_only_these_functions_eliminate(self):
+        """Kernels, meets, tall ranks and solves read `_null_vectors`; no
+        other function of the package names `_eliminate`."""
+        package = Path(untensor.__file__).parent
+        readers = set()
+
+        def visit(node, scope, module):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name], module)
+                    continue
+                if getattr(child, "id", None) == "_eliminate" or getattr(child, "attr", None) == "_eliminate":
+                    readers.add(f"{module}:{'.'.join(scope)}")
+                visit(child, scope, module)
+
+        for path in sorted(package.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [], path.name)
+        assert readers == self.READERS
+
+
 class TestIntegerCoreAgainstReference:
     """The integer elimination core against textbook Fraction Gauss-Jordan."""
 
@@ -436,6 +466,74 @@ class TestTallKernels:
         for z, f in null:
             assert z[f] > 0 and not any(z[:f]) and not any(z[g] for g in free if g != f)
             assert gcd(*z) == 1
+
+
+def reference_solution(a, rhs):
+    """The solution of a·x = rhs with the free variables 0, by textbook
+    Gauss-Jordan on [a | rhs]; None when rhs is outside the column space."""
+    reduced, pivots = reference_rref([row + (b,) for row, b in zip(a.rows, rhs)], a.ncols + 1)
+    if pivots and pivots[-1] == a.ncols:
+        return None
+    x = [F(0)] * a.ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[a.ncols]
+    return tuple(x)
+
+
+@st.composite
+def tall_solve_systems(draw):
+    """(a, columns) with n columns in a, k right-hand sides and more than
+    n + k rows, up to 3 (n + k), so [-b | a] is tall.  The rows of a are
+    combinations of a few generator rows over one denominator of either
+    sign; each b is consistent (a·x), drawn (outside the column space for
+    almost every draw), a multiple of a drawn b, or zero."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=4))
+    nrows = draw(st.integers(min_value=n + k + 1, max_value=3 * (n + k)))
+    gens = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=1, max_size=max(n, 1)))
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=len(gens), max_size=len(gens))
+    rows = []
+    for _ in range(nrows):
+        cs = draw(coeffs)
+        rows.append([sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n)])
+    a = Matrix.from_integer_rows(rows, draw(st.sampled_from([1, 2, -3])), n)
+    drawn, columns = [], []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["consistent", "drawn", "multiple", "zero"]))
+        if kind == "consistent":
+            columns.append(a.apply(draw(st.lists(fractions, min_size=n, max_size=n))))
+        elif kind == "zero":
+            columns.append(vector([0] * nrows))
+        elif kind == "multiple" and drawn:
+            columns.append(vscale(draw(fractions.filter(bool)), draw(st.sampled_from(drawn))))
+        else:
+            drawn.append(vector(draw(st.lists(fractions, min_size=nrows, max_size=nrows))))
+            columns.append(drawn[-1])
+    order = draw(st.permutations(range(k)))
+    return a, [columns[i] for i in order]
+
+
+class TestTallSolves:
+    """Solves whose system [-b | a] has more rows than columns take the
+    square-block rule of `_null_vectors`, as kernels do."""
+
+    @settings(max_examples=200)
+    @given(tall_solve_systems())
+    def test_batch_against_reference(self, system):
+        a, columns = system
+        got = _solve_columns(a, columns)
+        assert all(x is None or x.den > 0 for x in got)
+        assert [x if x is None else x.fractions() for x in got] == [reference_solution(a, b) for b in columns]
+
+    def test_consistent_beside_an_inconsistent_column_and_its_double(self):
+        # 6 rows against 2 unknowns and 3 right-hand sides, in every order
+        a = Matrix([[1, 0], [0, 1], [1, 1], [1, -1], [2, 1], [0, 0]])
+        b = vector([F(1, 2), 1, F(3, 2), F(-1, 2), 2, 0])
+        c = vector([0, 0, 0, 0, 0, 1])
+        batch, expected = [b, c, vscale(2, c)], [(F(1, 2), F(1)), None, None]
+        for order in permutations(range(3)):
+            got = _solve_columns(a, [batch[i] for i in order])
+            assert [x if x is None else x.fractions() for x in got] == [expected[i] for i in order]
 
 
 class TestSubspace:

@@ -235,8 +235,10 @@ class TestProductMatrix:
         assert_columns_are_derived_products(recon)
 
     def test_pointed_3x3_product_stage_work(self, monkeypatch):
-        # Columns of each elimination: one tall solve at w0, two table solves
-        # per factor, one rank; no square completion on the canonical bases.
+        # Columns of each elimination: the solve at w0 (9 unknowns and 4
+        # right-hand sides), then two table solves per factor, each a 9x4
+        # system taken as a 4-column head block and a 2-column remainder,
+        # then one rank; no square completion on the canonical bases.
         inst = generate_instance((3, 3), 2, pointed=True)
         recon = recover_factors(inst, Random(2))
         eliminated = []
@@ -252,7 +254,7 @@ class TestProductMatrix:
         monkeypatch.setattr(linalg, "_eliminate", counted)
         monkeypatch.setattr(squares, "complete_square_details", refused)
         recon.product_matrix
-        assert eliminated == [9, 2, 2, 2, 2, 9]
+        assert eliminated == [13, 4, 2, 4, 2, 4, 2, 4, 2, 9]
 
     def test_identity_instance_unit_matrix(self, ident22_recon):
         inst, recon = ident22_recon
