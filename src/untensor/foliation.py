@@ -13,14 +13,20 @@ be dug out of S alone:
 * `tangent_intersection(v, s)` restricts the polar rows of s to T(v):
   with K a basis of T(v), T(v) ∩ T(s) = K · kernel(polar2_rows(s) · K)
   (`Subspace.meet_kernel`).  Only the anchor v is eliminated in full; s
-  costs a quadric-count by (m + n - 1) system.
+  costs a quadric-count by (m + n - 1) system.  Recovery takes the same
+  meet through the form instead: polar2_rows(s) · K is the table
+  2B(s, k_i) over the basis vectors k_i, one `polar2_table` query, so
+  the polar rows of s are never built (`Subspace.meet_values`);
+  `tangent_intersection` stays on the rows as the reference.
   `cross_rays(v, s)` splits the intersection for two generic simple
   vectors: it is a plane whose trace on S is exactly two rational rays,
   one in each sheet through v.
 * `sheets_through(v)` needs no sample: a fixed candidate t of T(v) in
   neither sheet splits into one ray g_i per sheet, each sheet is
   T(v) ∩ T(g_i) with T(v) taken once, and the pair is certified with
-  `subspace_in_S` and one rank.
+  `subspace_in_S` (one `polar2_table` of a sheet's basis against itself)
+  and one rank.  The meets with t and with both rays take one table
+  each.
 * `transport` carries vectors between two sheets of one foliation along
   the ray correspondence, normalized by a chosen pair of reference
   vectors; it is realized by square completion.
@@ -93,19 +99,14 @@ def subspace_in_S(inst: TensorSpace, sub: Subspace) -> bool:
     """Complete test that a subspace lies inside S.
 
     A quadric vanishes identically on a subspace iff it vanishes on every
-    basis vector and every polarized basis pair, so the check is exact.
-    The basis and the answers stay integers.
+    basis vector and every polarized basis pair, so the check is exact:
+    one `polar2_table` of the basis against itself, whose diagonal is
+    2*Q(b).  The basis and the answers stay integers.
     """
     if sub.ambient_dim != inst.dim:
         raise PreconditionViolated("ambient dimensions differ")
     basis = sub.basis.scaled_rows()
-    for i, b in enumerate(basis):
-        if any(inst.minor_values(b).ints):
-            return False
-        for a in basis[:i]:
-            if any(inst.polar2_values(a, b).ints):
-                return False
-    return True
+    return not any(any(ints) for row in inst.polar2_table(basis, basis) for ints, _ in row)
 
 
 def _tangent_point(inst: TensorSpace, v: Sequence) -> Vector:
@@ -231,7 +232,7 @@ def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
     basis = anchor.basis.scaled_rows()
     for i in range(1, tangent_dim + 3):
         t = linear_combination(basis, [i**j for j in range(tangent_dim)])
-        meet = anchor.meet_kernel(inst.polar2_rows(t))
+        meet = anchor.meet_values(inst.polar2_table([t], basis)[0])
         if meet.dim != 2:
             continue
         u = next(r for r in meet.basis.scaled_rows() if proportionality_ratio(v, r) is None)
@@ -239,7 +240,7 @@ def sheets_through(inst: TensorSpace, v: Sequence) -> SheetPair:
             rays = _split_rays(inst, t, u)
         except Degenerate:
             continue
-        first, second = (anchor.meet_kernel(inst.polar2_rows(g)) for g in rays)
+        first, second = (anchor.meet_values(row) for row in inst.polar2_table(rays, basis))
         if (
             first.dim * second.dim == inst.dim
             and first.dim + second.dim == tangent_dim + 1

@@ -108,9 +108,9 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
     the cones.  A quadratic form is fixed by its polar values on the unit
     pairs (e_p, e_q), p <= q, and the pullback of a target form takes the
     values of the form itself on (f e_p, f e_q).  So S holds the source's
-    `polar2_values` on the unit pairs, T holds the target's on their
-    images, one column per quadric, and containment is rank(S) ==
-    rank([S | T]).  The answers stay integers: the row of pair (p, q) is
+    form values on the unit pairs, T holds the target's on their images
+    (one `polar2_table` query per side), one column per quadric, and
+    containment is rank(S) == rank([S | T]).  The answers stay integers: the row of pair (p, q) is
     [s / Ds | t / Dt], and scaling it by Ds * Dt > 0 gives the integer row
     [s Dt | t Ds] with the same ranks.
     """
@@ -127,8 +127,10 @@ def is_cone_morphism(f: LinearMorphism) -> bool:
     rows, den = f.matrix.integer_rows()
     images = [Scaled([row[p] for row in rows], den) for p in range(dim)]
     pairs = [(p, q) for q in range(dim) for p in range(q + 1)]
-    source = [f.source.polar2_values(units[p], units[q]) for p, q in pairs]
-    target = [f.target.polar2_values(images[p], images[q]) for p, q in pairs]
+    source_table = f.source.polar2_table(units, units)
+    target_table = f.target.polar2_table(images, images)
+    source = [source_table[p][q] for p, q in pairs]
+    target = [target_table[p][q] for p, q in pairs]
     both = [[x * dt for x in s] + [x * ds for x in t] for (s, ds), (t, dt) in zip(source, target)]
     rank = Matrix.from_integer_rows([s for s, _ in source], 1, count).rank()
     return rank == Matrix.from_integer_rows(both, 1, 2 * count).rank()

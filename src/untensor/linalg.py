@@ -46,9 +46,12 @@ already are the canonical reduced basis.  A system with more rows than
 columns is taken in square blocks, since ker [A; B] = ker A ∩ ker B: the
 first ncols rows are eliminated, and the other rows are restricted to
 their null vectors, so no elimination has more rows than columns and no
-modulus, fallback or setting is involved.  `Subspace.meet_kernel` uses
-the same restriction for a subspace with a known basis K: it eliminates
-m·K, which has one column per basis vector, instead of m itself.
+modulus, fallback or setting is involved.  `Subspace.meet_values` uses
+the same lift for a subspace with a known basis K and a map L given by
+its values L·K: it eliminates L·K, which has one column per basis
+vector, instead of L itself.  `Subspace.meet_kernel` is the case of a
+row matrix m, with the values m·K.  When every restricted row is zero,
+nothing is eliminated.
 `Matrix.rank` of a tall matrix counts its null vectors.  `_solve_columns`
 reads every solution off the same null vectors, since solving a·x = b is
 finding the null vector of [-b | a] that is 1 at the b column: a solve
@@ -76,7 +79,13 @@ Vector = tuple[Fraction, ...]
 class Scaled(NamedTuple):
     """A vector as integers over one positive common denominator: the
     values ints[i] / den.  The denominator need not be the least one, so
-    two pairs can hold the same values and still compare unequal as pairs."""
+    two pairs can hold the same values and still compare unequal as pairs.
+
+    Two producers return lowest terms (gcd(den, *ints) == 1):
+    `to_integers` of Fractions and `linear_combination`.  The others need
+    not: the oracle's answers, `parse_integers`, `_solve_columns`,
+    `Subspace.integer_coordinates`, `rank_one_split` and
+    `Matrix.scaled_rows`."""
 
     ints: list[int]
     den: int
@@ -186,7 +195,10 @@ def linear_combination(vectors: Sequence, coeffs: Sequence) -> Scaled:
     """Sum of coeffs[i] * vectors[i]; the vectors must share a length.
     Vectors and coefficients may come in either form.
 
-    The sum is accumulated over the integers, on one common denominator.
+    The sum is accumulated over the integers, on one common denominator,
+    and returned in lowest terms: chained combinations (the bilinear fill
+    of a product matrix, say) would otherwise carry every step's common
+    factor in their integers.
     """
     if not vectors:
         raise ValueError("empty vector list")
@@ -199,7 +211,9 @@ def linear_combination(vectors: Sequence, coeffs: Sequence) -> Scaled:
             up, c = common // den, c * (common // vden)
             acc = [x * up + c * y for x, y in zip(acc, ints)]
             den = common
-    return Scaled(acc, den * cden)
+    den *= cden
+    g = gcd(den, *acc)
+    return Scaled(acc, den) if g == 1 else Scaled([x // g for x in acc], den // g)
 
 
 def proportionality_ratio(base: Sequence, candidate: Sequence) -> Fraction | None:
@@ -507,14 +521,17 @@ def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], in
 
     A system with more rows than columns is taken in square blocks, since
     ker [A; B] = ker A ∩ ker B: the null vectors K of the first ncols rows
-    come from one elimination, and the other rows are restricted to K
-    (`_restricted_null_vectors`), so no elimination has more rows than
-    columns.  The vectors lifted back from K keep the contract above, and
-    each is primitive: dividing out its content keeps the entries small.
+    come from one elimination, and the other rows are restricted to K, one
+    integer dot product per row and vector, and lifted back through it
+    (`_lifted_null_vectors`), so no elimination has more rows than columns.
+    The lifted vectors keep the contract above, and each is primitive:
+    dividing out its content keeps the entries small.
     """
     if len(rows) > ncols:
         head = _null_vectors(rows[:ncols], ncols)
-        return _restricted_null_vectors(rows[ncols:], [z for z, _ in head], [f for _, f in head])
+        basis = [z for z, _ in head]
+        restricted = [[sum(map(mul, row, k)) for k in basis] for row in rows[ncols:]]
+        return _lifted_null_vectors(restricted, basis, [f for _, f in head])
     pivots, _ = _eliminate(rows, ncols, reverse=True)
     pivot_rows = list(zip(pivots, rows))
     pivot_set = set(pivots)
@@ -532,23 +549,27 @@ def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], in
     return out
 
 
-def _restricted_null_vectors(
-    rows: list[list[int]], basis: list[list[int]], leads: list[int]
+def _lifted_null_vectors(
+    restricted: list[list[int]], basis: list[list[int]], leads: list[int]
 ) -> list[tuple[list[int], int]]:
-    """The null vectors of the integer rows inside the span of basis, as
-    (x, leads[g]) with x primitive.
+    """The null vectors of a map inside the span of basis, as (x, leads[g])
+    with x primitive, from the restricted rows: the map's values on the
+    basis vectors k_i, one column per k_i.
 
     x = sum w_i k_i lies in the kernel exactly when w is a null vector of
-    the restricted rows [row · k_i over i], one integer dot product per
-    pair; rows that restrict to zero are dropped.  Each basis vector k_i
-    must be zero left of its lead column leads[i] and at the leads of the
-    others, with increasing leads.  Since a null vector (w, g) is zero left
-    of g and at the other free columns, x is zero left of leads[g] and at
-    the leads of the other results, and x[leads[g]] = w_g k_g[leads[g]]:
-    up to scale, the results are the canonical basis of the meet, and
-    x[leads[g]] > 0 when every k_i is positive at its lead.
+    the restricted rows; rows that restrict to zero are dropped, and when
+    every row does, nothing is eliminated and each k_i is returned divided
+    by its content.  Each basis vector k_i must be zero left of its lead
+    column leads[i] and at the leads of the others, with increasing leads.
+    Since a null vector (w, g) is zero left of g and at the other free
+    columns, x is zero left of leads[g] and at the leads of the other
+    results, and x[leads[g]] = w_g k_g[leads[g]]: up to scale, the results
+    are the canonical basis of the meet, and x[leads[g]] > 0 when every k_i
+    is positive at its lead.
     """
-    restricted = [r for r in ([sum(map(mul, row, k)) for k in basis] for row in rows) if any(r)]
+    restricted = [r for r in restricted if any(r)]
+    if not restricted:
+        return [([a // gcd(*k) for a in k], lead) for k, lead in zip(basis, leads)]
     columns = list(zip(*basis))
     out = []
     for w, g in _null_vectors(restricted, len(basis)):
@@ -698,21 +719,41 @@ class Subspace:
                 residual = [x - up * y for x, y in zip(residual, row)]
         return None if any(residual) else Scaled(coords, den)
 
-    def meet_kernel(self, m: Matrix) -> "Subspace":
-        """The vectors of this subspace that m maps to zero.
+    def meet_values(self, values: Sequence[Sequence]) -> "Subspace":
+        """The vectors of this subspace that a linear map L sends to zero,
+        with L given by its values on the basis: values[i] = L(k_i) for row
+        k_i = ints_i / den_i of `basis.scaled_rows()`, in either form.
 
-        With K the basis, x = K·c lies in the kernel of m exactly when
-        (m·K)·c = 0, so only m·K, one column per basis vector, is
-        eliminated (`_restricted_null_vectors`).  K is in reduced echelon
-        form, with lead columns p_i, so each lifted x divided by x[p_g] is
-        a row of the canonical basis of the meet.
+        x = K·c lies in the kernel of L exactly when sum c_i L(k_i) = 0, so
+        only the matrix [L(k_i)], one column per basis vector, is
+        eliminated (`_lifted_null_vectors`).  It is taken on the integer
+        rows: column i is L(ints_i) = den_i L(k_i), over one common
+        denominator.  K is in reduced echelon form, with lead columns p_i,
+        so each lifted x divided by x[p_g] is a row of the canonical basis
+        of the meet.
         """
+        basis = self.basis.scaled_rows()
+        if len(values) != len(basis):
+            raise DimensionMismatch.of(len(basis), len(values))
+        columns = []
+        for (ints, den), k in zip(map(to_integers, values), basis):
+            g = gcd(k.den, den)
+            columns.append(Scaled(ints if g == k.den else [x * (k.den // g) for x in ints], den // g))
+        ks = [k.ints for k in basis]
+        rows = Matrix.from_columns(columns, 0)._elimination_rows()
+        lifted = _lifted_null_vectors(rows, ks, [first_nonzero_index(k) for k in ks])
+        return Subspace._reduced(Matrix._trusted([(x, x[c]) for x, c in lifted], self.ambient_dim))
+
+    def meet_kernel(self, m: Matrix) -> "Subspace":
+        """The vectors of this subspace that m maps to zero: `meet_values`
+        with the values of m's integer rows, which have m's kernel, on the
+        basis rows."""
         if m.ncols != self.ambient_dim:
             raise DimensionMismatch.of(self.ambient_dim, m.ncols)
-        basis = self.basis._elimination_rows()
-        leads = [first_nonzero_index(k) for k in basis]
-        rows = [(x, x[c]) for x, c in _restricted_null_vectors(m._elimination_rows(), basis, leads)]
-        return Subspace._reduced(Matrix._trusted(rows, self.ambient_dim))
+        rows = m._elimination_rows()
+        return self.meet_values(
+            [Scaled([sum(map(mul, row, k.ints)) for row in rows], k.den) for k in self.basis.scaled_rows()]
+        )
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Largest subspace contained in both: this one restricted to the

@@ -242,8 +242,11 @@ class Reconstruction:
            Q(d' - s w0) = Q(d') + s 2B(e, f) is linear in s, and every
            quadric must agree on its root.
 
-        Everything stays in the `Scaled` form: the oracle's answers (the
-        2B(e, f) table among them), the solutions y, the W1 and W2 parts,
+        The form values come from `polar2_table` queries: one for the
+        2B(e, f) table, and one per e and one per f for the right-hand sides
+        of step 2, so each vector's hidden coordinates are computed once per
+        query.  Everything stays in the `Scaled` form: the oracle's answers,
+        the solutions y, the W1 and W2 parts,
         d' and the products d, each integers over one positive denominator,
         and common_root compares the quadrics by cross-multiplying them; s
         is the one Fraction per product.  An inconsistent solve or
@@ -253,23 +256,22 @@ class Reconstruction:
         if not es or not fs:
             return {}
         inst, w0 = self.inst, to_integers(self.w0)
+        e_vectors, f_vectors = [e for _, e in es], [f for _, f in fs]
         # table[a][b] = 2B(e, f) for the a-th generic e and b-th generic f.
-        table = [[inst.polar2_values(e, f) for _, f in fs] for _, e in es]
+        table = inst.polar2_table(e_vectors, f_vectors)
         # 1. y = -d0 solves 2B(w0, y) = 2B(e, f).
         flat = _solved(inst.polar2_rows(w0), [x for row in table for x in row])
         y = [flat[a * len(fs) : (a + 1) * len(fs)] for a in range(len(es))]
         # 2. With d = -y + x1 + x2 (x1 in W1, x2 in W2), B(e, d) = 0 reads
         #    B(e, x2) = B(e, y), and B(f, d) = 0 reads B(f, x1) = B(f, y).
         on_f = [
-            _solved(Matrix.from_columns(table[a]), [inst.polar2_values(e, yb) for yb in y[a]])
-            for a, (_, e) in enumerate(es)
+            _solved(Matrix.from_columns(table[a]), inst.polar2_table([e], y[a])[0]) for a, e in enumerate(e_vectors)
         ]
         on_e = [
-            _solved(Matrix.from_columns([row[b] for row in table]), [inst.polar2_values(f, ya[b]) for ya in y])
-            for b, (_, f) in enumerate(fs)
+            _solved(Matrix.from_columns([row[b] for row in table]), inst.polar2_table([f], [ya[b] for ya in y])[0])
+            for b, f in enumerate(f_vectors)
         ]
         # 3. The scale s along w0, from Q(d' - s w0) = Q(d') + s 2B(e, f).
-        e_vectors, f_vectors = [e for _, e in es], [f for _, f in fs]
         out = {}
         for a, (j, _) in enumerate(es):
             for b, (k, _) in enumerate(fs):

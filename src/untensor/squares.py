@@ -115,10 +115,12 @@ def is_square(inst: TensorSpace, sq: Square) -> bool:
     )
 
 
-def _corner_plane(inst: TensorSpace, b: Vector, c: Vector) -> Subspace:
+def _corner_plane(inst: TensorSpace, b: Sequence, c: Sequence) -> Subspace:
     """T(b) ∩ T(c) for corners already checked to be nonzero and simple:
-    `tangent_intersection` without its own checks on b and c."""
-    return kernel(inst.polar2_rows(b)).meet_kernel(inst.polar2_rows(c))
+    `tangent_intersection` without its own checks on b and c, with c
+    restricted to T(b) through the form, 2B(c, k) for the basis k of T(b)."""
+    anchor = kernel(inst.polar2_rows(b))
+    return anchor.meet_values(inst.polar2_table([c], anchor.basis.scaled_rows())[0])
 
 
 def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence) -> Completion:
@@ -138,42 +140,55 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
     are not proportional there, or that do not split into two rays.  A
     plane missing a raises PreconditionViolated.  b is the anchor of the
     plane, so c is only restricted to T(b).
+
+    Every simplicity and `same_sheet` test on the corners reads one
+    `polar2_table` of the corners against themselves: its diagonal holds
+    2Q(x), and for simple x and y, Q(x + y) = 2B(x, y).  The corners are
+    checked in order, each for its length, for zero, then for simplicity.
     """
     a = tuple(a)
     b = tuple(b)
     c = tuple(c)
+    corners, failure = [], None
     for corner in (a, b, c):
         if len(corner) != inst.dim:
-            raise PreconditionViolated("corner has the wrong ambient length")
-        if is_zero_vector(corner):
-            raise PreconditionViolated("corners must be nonzero")
-        if not inst.is_simple(corner):
-            raise PreconditionViolated("corners must be simple")
-    a_ints = to_integers(a)
-    mu = proportionality_ratio(a_ints, b)
-    lam = proportionality_ratio(a_ints, c)
+            failure = "corner has the wrong ambient length"
+        elif is_zero_vector(corner):
+            failure = "corners must be nonzero"
+        if failure:
+            break
+        corners.append(to_integers(corner))
+    table = inst.polar2_table(corners, corners)
+    if any(any(table[i][i].ints) for i in range(len(corners))):
+        raise PreconditionViolated("corners must be simple")
+    if failure:
+        raise PreconditionViolated(failure)
+    a_ints, b_ints, c_ints = corners
+    mu = proportionality_ratio(a_ints, b_ints)
+    lam = proportionality_ratio(a_ints, c_ints)
+    ab, ac, bc = (not any(table[i][j].ints) for i, j in ((0, 1), (0, 2), (1, 2)))
     if mu is not None and lam is not None:
         return Completion(vscale(lam * mu, a), "both-proportional", lam * mu)
     if mu is not None:
-        if not same_sheet(inst, a, c):
+        if not ac:
             raise PreconditionViolated("a and c do not share a sheet")
         return Completion(vscale(mu, c), "column-proportional", mu)
     if lam is not None:
-        if not same_sheet(inst, a, b):
+        if not ab:
             raise PreconditionViolated("a and b do not share a sheet")
         return Completion(vscale(lam, b), "row-proportional", lam)
-    if not same_sheet(inst, a, b) or not same_sheet(inst, a, c):
+    if not ab or not ac:
         raise PreconditionViolated("a must share a sheet with b and with c")
-    if same_sheet(inst, b, c):
+    if bc:
         raise PreconditionViolated("b and c lie across the square and must not share a sheet")
-    plane = _corner_plane(inst, b, c)
+    plane = _corner_plane(inst, b_ints, c_ints)
     if plane.dim != 2:
         raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
-    if not plane.contains(a):
+    if not plane.contains(a_ints):
         raise PreconditionViolated("the corner rays do not brace the square: a is off the plane of b and c")
     p = next(row for row in plane.basis.scaled_rows() if proportionality_ratio(a_ints, row) is None)
     u = next(g for g in _split_rays(inst, a_ints, p) if proportionality_ratio(a_ints, g) is None)
-    s = linear_combination((a, b, c), (1, 1, 1))
+    s = linear_combination(corners, (1, 1, 1))
     t = common_root(inst.minor_values(s), inst.polar2_values(s, u))
     return Completion(vscale(t, u), "generic", t)
 

@@ -27,6 +27,8 @@ vector arguments in either form:
 * `minor_values(v)` is Q_k(v) = 2*B_k(v, v) / 2, as (2*B_k(u, u), 2 q^2);
 * `is_simple(v)` asks that every 2*B_k(v, v) vanish;
 * `polar2_values(x, y)` is 2*B_k(x, y), as (2*B_k(u, w), q_x q_y);
+* `polar2_table(xs, ys)` is every polar2_values(x, y) for x in xs and y
+  in ys, with the hidden coordinates of each vector computed once;
 * `binary_restriction(d1, d2)` is the three answers Q(d1), 2*B(d1, d2)
   and Q(d2), each a `Scaled` over all quadrics;
 * row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the columns of
@@ -38,7 +40,12 @@ vector arguments in either form:
 Here u / q are the hidden coordinates of v (see below).  No Fraction
 is built for an answer unless a caller asks for it (`Scaled.fractions`,
 `Matrix.rows`), which no recovery path does.  None of these public methods
-calls another, so each query bumps `oracle_calls` once.
+calls another, so each query bumps `oracle_calls` once: a batch such as
+`polar2_table` or `binary_restriction` counts as one call, however many
+form values it holds.  A vector of the wrong length is refused before
+anything is counted.  A caller that asks many form values at once asks
+them as one table, so `polar2_rows` serves only where a tangent space is
+taken in full.
 
 Every answer is the exact value of its forms, so `quadric_values` is
 `minor_values` read as Fractions, and `quadrics` (the pulled-back Gram
@@ -299,6 +306,27 @@ class TensorSpace:
         w, qw = self._scaled_hidden(y)
         self.stats.oracle_calls += 1
         return Scaled(self._polar2(u, w), qu * qw)
+
+    def polar2_table(self, xs: Sequence[Sequence], ys: Sequence[Sequence]) -> list[list[Scaled]]:
+        """2*B_k(x, y) for every quadric, for every x in xs and y in ys:
+        entry [i][j] is polar2_values(xs[i], ys[j]).
+
+        Each vector's hidden coordinates are computed once, and the whole
+        batch is one query.  When ys is xs the table is symmetric, so each
+        pair is evaluated once and the two entries share one answer.
+        """
+        us = [self._scaled_hidden(x) for x in xs]
+        ws = us if ys is xs else [self._scaled_hidden(y) for y in ys]
+        self.stats.oracle_calls += 1
+        polar2 = self._polar2
+        if ws is not us:
+            return [[Scaled(polar2(u, w), qu * qw) for w, qw in ws] for u, qu in us]
+        table = [[None] * len(us) for _ in us]
+        for i, (u, qu) in enumerate(us):
+            for j in range(i, len(us)):
+                w, qw = us[j]
+                table[i][j] = table[j][i] = Scaled(polar2(u, w), qu * qw)
+        return table
 
     def polar2_rows(self, v: Sequence) -> Matrix:
         """The stacked linear functionals w -> 2*B_k(v, w), one row per quadric.

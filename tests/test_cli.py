@@ -171,19 +171,19 @@ class TestRecover:
 _GOLDEN = {
     (2, 3, 1): (
         "72133e7e6c354423784634c05379c3e5726d1b11e908a0163651971bfe3d2db6",
-        {"lambda": "-100", "oracle_calls": 24, "samples_used": 0, "sheet_dims": [3, 2], "swap": True},
+        {"lambda": "-100", "oracle_calls": 14, "samples_used": 0, "sheet_dims": [3, 2], "swap": True},
     ),
     (3, 3, 1): (
         "9d7c61fd3dd7b8726fb4657173a857426a0e7c1314e389885f07d89009f0acea",
-        {"lambda": "-32", "oracle_calls": 35, "samples_used": 0, "sheet_dims": [3, 3], "swap": True},
+        {"lambda": "-32", "oracle_calls": 17, "samples_used": 0, "sheet_dims": [3, 3], "swap": True},
     ),
     (3, 4, 1): (
         "c09d5023e70fa05d53245dedb8dcb85c0c1595dd07f59ebf32d6ba95e988aea1",
-        {"lambda": "6", "oracle_calls": 47, "samples_used": 0, "sheet_dims": [4, 3], "swap": True},
+        {"lambda": "6", "oracle_calls": 20, "samples_used": 0, "sheet_dims": [4, 3], "swap": True},
     ),
     (3, 3, 2): (
         "273b683aa4679362c239bd90dd07ed6e92c5027fc610848858fbcbe3a15b247c",
-        {"lambda": "30", "oracle_calls": 35, "samples_used": 0, "sheet_dims": [3, 3], "swap": False},
+        {"lambda": "30", "oracle_calls": 17, "samples_used": 0, "sheet_dims": [3, 3], "swap": False},
     ),
     # Trivial shapes: the first sheet is all of V, the second the ray of w0.
     (1, 3, 1): (
@@ -198,7 +198,7 @@ _GOLDEN = {
     # the redraw from the same stream.
     (2, 2, 29): (
         "bd20e828313743be02e55a530f1bb3bffa1adbd5a074838d395f476361ca978f",
-        {"lambda": "-9", "oracle_calls": 17, "samples_used": 0, "sheet_dims": [2, 2], "swap": True},
+        {"lambda": "-9", "oracle_calls": 12, "samples_used": 0, "sheet_dims": [2, 2], "swap": True},
     ),
     (1, 1, 9): (
         "9dafeecb663c043344f02a35b1b256edcc3f734b4e65f7dd5fafcf743b8b81b6",

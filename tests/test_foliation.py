@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from untensor import foliation, linalg
+from untensor import foliation, linalg, squares
 from untensor.errors import (
     Degenerate,
     MalformedSheets,
@@ -117,6 +117,32 @@ class TestTangentIntersection:
         meet = tangent_intersection(inst, v, s)
         assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4)])
+    def test_form_meet_equals_the_row_meet(self, shape):
+        # T(v) ∩ T(s) through the form (2B(s, k) on the basis k of T(v)) against the row route,
+        # for random simple pairs, partners on either sheet through v, and the ray of v.
+        inst = generate_instance(shape, 40)
+        rng = Random(41)
+        m, n = shape
+
+        def draw(length):
+            while True:
+                x = [rng.randint(-5, 5) for _ in range(length)]
+                if any(x):
+                    return x
+
+        for _ in range(3):
+            alpha, beta = draw(m), draw(n)
+            v = inst.embed_simple(alpha, beta)
+            anchor = tangent_space(inst, v)
+            basis = anchor.basis.scaled_rows()
+            partners = [inst.sample_simple(rng), inst.embed_simple(draw(m), beta), inst.embed_simple(alpha, draw(n))]
+            for s in partners + [vscale(F(5, 3), v)]:
+                meet = anchor.meet_values(inst.polar2_table([s], basis)[0])
+                assert meet == tangent_intersection(inst, v, s)
+                assert meet.basis == Subspace(meet.basis.rows, inst.dim).basis
+            assert squares._corner_plane(inst, v, partners[0]) == tangent_intersection(inst, v, partners[0])
+
     def test_only_the_anchor_is_eliminated_in_full(self, monkeypatch):
         inst = generate_instance((3, 3), 9)
         rng = Random(5)
@@ -145,10 +171,11 @@ class TestTangentIntersection:
         # Both points are checked and their polar rows read.  The rows of v are eliminated in
         # full; those of s only in the restricted system, one column per basis vector of T(v).
         # That system has 9 rows and 5 columns, so it is taken in square blocks: its first 5
-        # rows leave 2 null vectors, to which the other 4 rows are restricted.
+        # rows leave 2 null vectors, on which the other 4 rows all vanish, so nothing more is
+        # eliminated.
         assert queries == [("is_simple", v), ("polar2_rows", v), ("is_simple", s), ("polar2_rows", s)]
         assert inst.stats.oracle_calls == calls + 4
-        assert eliminated == [inst.dim, dim, 2]
+        assert eliminated == [inst.dim, dim]
         assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])
@@ -306,17 +333,24 @@ class TestSheetsThrough:
         w0 = (1, 1, 1, 1)
         anchor = tangent_space(ident22, w0)
         assert anchor.meet_kernel(ident22.polar2_rows(w0)) == anchor
-        fetched = []
-        polar2_rows = ident22.polar2_rows
+        fetched, tables = [], []
+        polar2_rows, polar2_table = ident22.polar2_rows, ident22.polar2_table
 
-        def recording(v):
+        def recording_rows(v):
             fetched.append(linalg.to_integers(v).fractions())
             return polar2_rows(v)
 
-        ident22.polar2_rows = recording
+        def recording_table(xs, ys):
+            tables.append([linalg.to_integers(x).fractions() for x in xs])
+            return polar2_table(xs, ys)
+
+        ident22.polar2_rows = recording_rows
+        ident22.polar2_table = recording_table
         pair = sheets_through(ident22, w0)
-        # T(w0), then candidate 1 = w0, whose meet is all of T(w0), then candidate 2 and its two rays.
-        assert fetched[:3] == [w0, w0, (1, 2, 4, 5)] and len(fetched) == 5
+        # T(w0) from its polar rows; then through the form: candidate 1 = w0, whose meet is all
+        # of T(w0), candidate 2, its two rays, and one certification table per sheet.
+        assert fetched == [w0]
+        assert tables[:2] == [[w0], [(1, 2, 4, 5)]] and [len(xs) for xs in tables[2:]] == [2, 2, 2]
         expected = {
             hidden_sheet(ident22, beta=(1, 1)).subspace,
             hidden_sheet(ident22, alpha=(1, 1)).subspace,
@@ -326,42 +360,49 @@ class TestSheetsThrough:
     def test_pointed_recovery_checks_w0_once_and_restricts_the_rays(self, monkeypatch):
         inst = generate_instance((3, 3), 9, pointed=True)
         w0 = inst.base_point
-        asked, fetched, full, restricted = [], [], [], []
-        is_simple, polar2_rows, meet_kernel = inst.is_simple, inst.polar2_rows, Subspace.meet_kernel
-
-        def point_of(rows):
-            return next(v for m, v in fetched if m is rows)
+        anchor = tangent_space(inst, w0).basis.scaled_rows()
+        asked, fetched, full, tables, restricted = [], [], [], [], []
+        is_simple, polar2_rows, polar2_table = inst.is_simple, inst.polar2_rows, inst.polar2_table
+        meet_values = Subspace.meet_values
 
         def recording_is_simple(v):
             asked.append(tuple(v))
             return is_simple(v)
 
         def recording_rows(v):
-            fetched.append((polar2_rows(v), linalg.to_integers(v).fractions()))
-            return fetched[-1][0]
+            fetched.append(linalg.to_integers(v).fractions())
+            return polar2_rows(v)
 
         def recording_kernel(m):
-            full.append(point_of(m))
+            full.append(fetched[-1])
             return kernel(m)
 
-        def recording_meet(sub, m):
-            restricted.append((point_of(m), sub.dim))
-            return meet_kernel(sub, m)
+        def recording_table(xs, ys):
+            tables.append(([linalg.to_integers(x).fractions() for x in xs], ys))
+            return polar2_table(xs, ys)
+
+        def recording_meet(sub, values):
+            restricted.append(sub.dim)
+            return meet_values(sub, values)
 
         monkeypatch.setattr(inst, "is_simple", recording_is_simple)
         monkeypatch.setattr(inst, "polar2_rows", recording_rows)
+        monkeypatch.setattr(inst, "polar2_table", recording_table)
         monkeypatch.setattr(foliation, "kernel", recording_kernel)
-        monkeypatch.setattr(Subspace, "meet_kernel", recording_meet)
+        monkeypatch.setattr(Subspace, "meet_values", recording_meet)
         recon = recover_factors(inst, Random(0))
         # is_simple is asked once, about w0 and never about a ray; polar2_rows(w0) is the only
-        # full elimination; every other fetch, the two rays included, is restricted to T(w0).
+        # fetch of polar rows and the only full elimination.  Every other point, the two rays
+        # included, is met with T(w0) through the form on its basis; then each sheet is
+        # certified by one table of its basis against itself.
         assert asked == [w0]
-        assert full == [w0]
-        assert [v for _, v in fetched].count(w0) == 1
-        assert {v for v, _ in restricted} == {v for _, v in fetched} - {w0}
-        assert {dim for _, dim in restricted} == {3 + 3 - 1}
+        assert fetched == [w0] and full == [w0]
+        meets = [xs for xs, ys in tables if ys == anchor]
+        certified = [ys for xs, ys in tables if ys != anchor]
+        assert len(restricted) == sum(map(len, meets)) and set(restricted) == {3 + 3 - 1}
+        assert {Subspace(ys, inst.dim) for ys in certified} == set(recon.pair.subspaces())
         for sheet in (recon.sheet_w1, recon.sheet_w2):
-            (g,) = [g for g, _ in restricted[-2:] if sheet.contains(g)]
+            (g,) = [g for g in meets[-1] if sheet.contains(g)]
             assert sheet.subspace == tangent_intersection(inst, w0, g)
 
     @pytest.mark.parametrize("shape, seed", [((3, 3), 21), ((3, 4), 22), ((4, 4), 23)])

@@ -30,6 +30,7 @@ from untensor.linalg import (
     rank_one_split,
     ray_generator,
     solve_linear,
+    to_integers,
     vadd,
     vector,
     vscale,
@@ -313,7 +314,9 @@ class TestIntegerCoreAgainstReference:
             expected = [F(0)] * m.ncols
             for c, row in zip(coeffs, m.rows):
                 expected = [x + c * y for x, y in zip(expected, row)]
-            assert linear_combination(m.rows, coeffs).fractions() == tuple(expected)
+            combined = linear_combination(m.rows, coeffs)
+            assert combined.fractions() == tuple(expected)
+            assert gcd(combined.den, *combined.ints) == 1
 
     @given(rational_matrices(), st.data())
     def test_meet_kernel(self, a, data):
@@ -326,6 +329,31 @@ class TestIntegerCoreAgainstReference:
         assert meet == kernel(Matrix(equations, a.ncols))
         assert meet.basis == Subspace(meet.basis.rows, a.ncols).basis
         assert all(sub.contains(v) and not any(m.apply(v)) for v in meet.basis.rows)
+
+    @given(rational_matrices(), st.data())
+    def test_meet_values(self, a, data):
+        """A map given by its values on the basis rows meets the subspace
+        as its row matrix does; each value comes as Fractions or as a
+        `Scaled` over a multiple of its denominator."""
+        m = data.draw(rational_matrices(ncols=a.ncols))
+        sub = Subspace(a.rows, a.ncols)
+        values = []
+        for k in sub.basis.rows:
+            value = to_integers(m.apply(k)) if m.nrows else Scaled([], 1)
+            t = data.draw(st.integers(min_value=1, max_value=6))
+            values.append(value.fractions() if data.draw(st.booleans()) else Scaled([t * x for x in value.ints], t * value.den))
+        meet = sub.meet_values(values)
+        assert meet == sub.meet_kernel(m)
+        assert meet.basis == Subspace(meet.basis.rows, a.ncols).basis
+        with pytest.raises(DimensionMismatch):
+            sub.meet_values(values + [values[0] if values else ()])
+
+    def test_meet_values_reads_the_values_on_the_basis_rows(self):
+        # The basis rows are (2, 0, 1)/2 and (0, 3, 1)/3, over unequal
+        # denominators; x - y vanishes on their sum alone.
+        sub = Subspace([(1, 0, F(1, 2)), (0, 1, F(1, 3))], 3)
+        assert [den for _, den in sub.basis.scaled_rows()] == [2, 3]
+        assert sub.meet_values([(F(1),), (F(-1),)]).basis.rows == ((1, 1, F(5, 6)),)
 
     @given(
         st.lists(st.lists(small_ints, min_size=3, max_size=3), max_size=4),

@@ -63,6 +63,7 @@ class ConeFace:
             "is_simple",
             "minor_values",
             "polar2_values",
+            "polar2_table",
             "polar2_rows",
             "binary_restriction",
             "sample_simple",
@@ -230,15 +231,19 @@ class TestProductMatrix:
             recon = recon.with_bases(*(full_support_basis(recon, sheet, rng) for sheet in (recon.sheet_w1, recon.sheet_w2)))
         calls = inst.stats.oracle_calls
         recon.product_matrix
-        generic_pairs = (recon.dims[0] - 1) * (recon.dims[1] - 1)
-        assert inst.stats.oracle_calls - calls == (4 * generic_pairs + 1 if generic_pairs else 0)
+        d1, d2 = recon.dims
+        generic_pairs = (d1 - 1) * (d2 - 1)
+        # The 2B(e, f) table, the polar rows of w0, one right-hand-side table
+        # per generic e and per generic f, and one minor_values per pair.
+        assert inst.stats.oracle_calls - calls == (generic_pairs + d1 + d2 if generic_pairs else 0)
         assert_columns_are_derived_products(recon)
 
     def test_pointed_3x3_product_stage_work(self, monkeypatch):
         # Columns of each elimination: the solve at w0 (9 unknowns and 4
         # right-hand sides), then two table solves per factor, each a 9x4
-        # system taken as a 4-column head block and a 2-column remainder,
-        # then one rank; no square completion on the canonical bases.
+        # system taken as a 4-row head block whose 2 null vectors the other
+        # 5 rows all vanish on, so nothing more is eliminated, then one
+        # rank; no square completion on the canonical bases.
         inst = generate_instance((3, 3), 2, pointed=True)
         recon = recover_factors(inst, Random(2))
         eliminated = []
@@ -254,7 +259,7 @@ class TestProductMatrix:
         monkeypatch.setattr(linalg, "_eliminate", counted)
         monkeypatch.setattr(squares, "complete_square_details", refused)
         recon.product_matrix
-        assert eliminated == [13, 4, 2, 4, 2, 4, 2, 4, 2, 9]
+        assert eliminated == [13, 4, 4, 4, 4, 9]
 
     def test_identity_instance_unit_matrix(self, ident22_recon):
         inst, recon = ident22_recon
@@ -284,7 +289,15 @@ class TestProductMatrix:
         report = verify_round_trip(inst, recon)
         assert phi._rows is None
         assert report.success and report.to_payload()["lambda"] == lam
-        assert (report.oracle_calls, report.samples_used) == (35, 0)
+        assert (report.oracle_calls, report.samples_used) == (17, 0)
+
+    def test_phi_held_bits_at_5x5(self):
+        # linear_combination returns lowest terms, so the chained fill does not
+        # pile up common factors: φ's integer rows and denominator hold 50 bits
+        # at most here, as in lowest terms (537 when the content was kept).
+        inst = generate_instance((5, 5), 1, pointed=True)
+        rows, den = recover_factors(inst, Random(2)).product_matrix.integer_rows()
+        assert max(abs(x).bit_length() for x in [den, *(x for row in rows for x in row)]) == 50
 
     def test_bases_stay_integer_rows_until_read(self):
         # Recovery, phi and the round trip read the Scaled rows of the bases;

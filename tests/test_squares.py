@@ -70,22 +70,28 @@ class TestCompleteSquare:
         assert is_square(ident22, Square.of((3, 0, 0, 0), E11, E21, (0, 0, F(1, 3), 0)))
 
     def test_generic_completion_asks_about_each_corner_once(self, ident22, monkeypatch):
-        asked = []
-        is_simple = ident22.is_simple
+        asked, tables = [], []
+        is_simple, polar2_table = ident22.is_simple, ident22.polar2_table
 
-        def recording(v):
+        def recording_is_simple(v):
             asked.append(tuple(v))
             return is_simple(v)
 
-        monkeypatch.setattr(ident22, "is_simple", recording)
+        def recording_table(xs, ys):
+            tables.append(([linalg.to_integers(x).fractions() for x in xs], ys is xs))
+            return polar2_table(xs, ys)
+
+        monkeypatch.setattr(ident22, "is_simple", recording_is_simple)
+        monkeypatch.setattr(ident22, "polar2_table", recording_table)
         calls = ident22.stats.oracle_calls
         assert complete_square_details(ident22, E11, E12, E21).case == "generic"
-        # The three corners and the three pair sums: the plane of b and c is
-        # built from corners already checked, so b and c are not asked again.
-        pairs = [vadd(E11, E12), vadd(E11, E21), vadd(E12, E21)]
-        assert asked == [E11, E12, E21, *pairs]
-        # Two polar2_rows, one binary_restriction, one minor_values, one polar2_values.
-        assert ident22.stats.oracle_calls == calls + 11
+        # One table of the corners against themselves decides their simplicity and the
+        # sheets they share; then c against the basis of T(b).  Nothing asks is_simple.
+        assert asked == []
+        assert tables[0] == ([E11, E12, E21], True) and tables[1][0] == [E21] and len(tables) == 2
+        # The corner table, one polar2_rows, the table of c, one binary_restriction,
+        # one minor_values, one polar2_values.
+        assert ident22.stats.oracle_calls == calls + 6
 
     def test_row_and_column_cases(self):
         inst = generate_instance((3, 4), 4)
@@ -134,6 +140,24 @@ class TestCompleteSquare:
     def test_rejects_zero_corner(self, ident22):
         with pytest.raises(PreconditionViolated):
             complete_square(ident22, E11, (0, 0, 0, 0), E21)
+
+    @pytest.mark.parametrize(
+        "corners, message",
+        [
+            ((E11, (0, 0, 0, 0), E21), "corners must be nonzero"),
+            ((E11, (0, 0, 0, 0), (1, 0, 0)), "corners must be nonzero"),  # b is checked before c
+            (((1, 0, 0, 1), (0, 0, 0, 0), E21), "corners must be simple"),  # a is checked before b
+            ((E11, (1, 0, 0), E21), "corner has the wrong ambient length"),
+            ((E11, E12, (1, 0, 0, 1)), "corners must be simple"),
+            ((E11, (2, 0, 0, 0), E22), "a and c do not share a sheet"),
+            ((E11, E22, (3, 0, 0, 0)), "a and b do not share a sheet"),
+            ((E11, E22, E21), "a must share a sheet with b and with c"),
+            ((E11, E12, (1, 1, 0, 0)), "b and c lie across the square and must not share a sheet"),
+        ],
+    )
+    def test_corner_checks_in_order(self, ident22, corners, message):
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            complete_square_details(ident22, *corners)
 
     def test_rejects_cross_sheet_pair(self, ident22):
         # b and c share a sheet here, so the corners cannot brace a square
@@ -185,8 +209,9 @@ class TestGenericCompletion:
     def test_generic_4x4_plane_work(self, monkeypatch):
         # The plane T(b) ∩ T(c) in square blocks: the 36x16 polar rows of b
         # as a 16-row block and its 4 nonzero restricted rows, then the 36x7
-        # meet with c as blocks of 7, 3 and 0 rows.  No elimination has more
-        # rows than columns.
+        # form values of c on T(b) as blocks of 7 and 3 rows; the rows left
+        # after those all restrict to zero, so no empty block is eliminated.
+        # No elimination has more rows than columns.
         inst = generate_instance((4, 4), 3)
         alpha0, alpha, beta0, beta = (1, 2, 0, -1), (3, -1, 1, 0), (2, 0, 1, 1), (0, 1, -1, 3)
         eliminated = []
@@ -200,7 +225,7 @@ class TestGenericCompletion:
         details = complete_square_details(
             inst, inst.embed_simple(alpha0, beta0), inst.embed_simple(alpha0, beta), inst.embed_simple(alpha, beta0)
         )
-        assert eliminated == [(16, 16), (4, 8), (7, 7), (3, 3), (0, 2)]
+        assert eliminated == [(16, 16), (4, 8), (7, 7), (3, 3)]
         assert details == Completion(inst.embed_simple(alpha, beta), "generic", F(-38))
 
 

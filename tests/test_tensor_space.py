@@ -73,6 +73,8 @@ class TestOracleStats:
             lambda: inst.polar2_values(v, w),
             lambda: inst.polar2_rows(v),
             lambda: inst.binary_restriction(v, w),
+            lambda: inst.polar2_table([v, w], [w, v, w]),
+            lambda: inst.polar2_table([], [v]),
         ]
         for k, query in enumerate(queries, 1):
             query()
@@ -96,6 +98,16 @@ class TestMembership:
         for _ in range(50):
             s = inst.sample_simple(rng)
             assert inst.is_simple(s)
+
+    def test_table_refuses_a_short_vector_before_counting(self, ident22):
+        # a short vector anywhere in either list is refused before the batch counts
+        short, full = (1, 0, 0), (0, 0, 0, 1)
+        for xs, ys in [([full, short], [full]), ([full], [full, full, short]), ([short], [])]:
+            with pytest.raises(DimensionMismatch):
+                ident22.polar2_table(xs, ys)
+        assert ident22.stats.oracle_calls == 0
+        ident22.polar2_table([full] * 3, [full] * 4)
+        assert ident22.stats.oracle_calls == 1
 
     @pytest.mark.parametrize("query", ["is_simple", "minor_values", "polar2_rows", "polar2_values", "binary_restriction"])
     def test_length_mismatch(self, ident22, query):
@@ -242,6 +254,41 @@ class TestQuadricConsistency:
         assert [values(x) for x in inst.binary_restriction(form(v), form(w))] == [q_v, polar, q_w]
         assert inst.is_simple(form(v)) == (not any(q_v))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_table_entries_equal_pair_answers(self, data):
+        """Entry [i][j] of polar2_table(xs, ys) holds the values of
+        polar2_values(xs[i], ys[j]): vectors in either form, zero vectors,
+        empty lists, and ys given as xs itself."""
+        shape = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+        inst = generate_instance(shape, data.draw(st.integers(0, 10**6)))
+        if data.draw(st.booleans()):
+            inst = inject_quadric_fault(inst, data.draw(st.integers(0, inst.quadric_count - 1)))
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+        def point():
+            kind = data.draw(st.sampled_from(["sample", "fractions", "zero"]))
+            if kind == "sample":
+                v = inst.sample_simple(Random(data.draw(st.integers(0, 10**6))))
+            elif kind == "fractions":
+                v = vector(data.draw(st.lists(entry, min_size=inst.dim, max_size=inst.dim)))
+            else:
+                v = vector([0] * inst.dim)
+            if data.draw(st.booleans()):
+                ints, den = to_integers(v)
+                k = data.draw(st.integers(1, 5))
+                return Scaled([k * x for x in ints], k * den)
+            return v
+
+        xs = [point() for _ in range(data.draw(st.integers(0, 3)))]
+        ys = xs if data.draw(st.booleans()) else [point() for _ in range(data.draw(st.integers(0, 3)))]
+        table = inst.polar2_table(xs, ys)
+        assert len(table) == len(xs) and all(len(row) == len(ys) for row in table)
+        for x, row in zip(xs, table):
+            for y, answer in zip(ys, row):
+                assert type(answer) is Scaled and answer.den > 0
+                assert answer.fractions() == inst.polar2_values(x, y).fractions()
+
     def test_polarization_identity(self):
         inst = generate_instance((2, 3), 23)
         rng = Random(4)
@@ -331,22 +378,18 @@ class TestSerialization:
 
 
 class TestOracleBoundary:
+    # The single-underscore names of a live pointed instance and of its class,
+    # so a private attribute or helper added to the oracle is covered at once.
+    _inst = generate_instance((2, 3), 1, pointed=True)
     PRIVATE = frozenset(
-        {
-            "_minors",
-            "_adj_rows",
-            "_adj_cols",
-            "_adj_den",
-            "_inv_rows",
-            "_inv_den",
-            "_det",
-            "_det2",
-            "_polar2",
-            "_scaled_hidden",
-            "_fault_index",
-            "_point_at",
-        }
+        name
+        for name in [*vars(_inst), *vars(type(_inst))]
+        if name.startswith("_") and not name.startswith("__")
     )
+
+    def test_private_names_are_read_off_the_instance(self):
+        assert {"_minors", "_inv_rows", "_inv_den", "_quadrics", "_polar2", "_scaled_hidden", "_point_at"} <= self.PRIVATE
+        assert not any(name.startswith("__") for name in self.PRIVATE)
 
     def test_private_oracle_names_stay_in_tensor_space(self):
         package = Path(untensor.__file__).parent
