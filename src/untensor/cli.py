@@ -41,8 +41,9 @@ MAX_GENERATED_DIM = 100
 
 
 # What parsing outside input can raise: bad JSON or scalar text, a "p/0" or
-# infinite scalar, a value of the wrong type, or a missing key.
-_PARSE_ERRORS = (ValueError, ArithmeticError, TypeError, KeyError)
+# infinite scalar, a value of the wrong type, a missing key, or JSON nested
+# deeper than the decoder's recursion limit.
+_PARSE_ERRORS = (ValueError, ArithmeticError, TypeError, KeyError, RecursionError)
 
 
 class _CliError(Exception):

@@ -801,7 +801,9 @@ def rank_one_split(m: Matrix) -> tuple[Scaled, Scaled] | None:
 
     With p = m[i0][j0] the leading entry, col is column j0 divided by p, so
     its first nonzero coordinate is 1, and row is row i0 of m.  Every other
-    split is (t col, row / t) for some t != 0.  The test runs on the integer rows over one common denominator: m has
+    split is (t col, row / t) for some t != 0.
+
+    The test runs on the integer rows over one common denominator: m has
     rank one exactly when m[i][j] * p == m[i][j0] * m[i0][j] everywhere.
     """
     rows, den = m.integer_rows()

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.foliation import _split_rays, same_sheet
+from untensor.foliation import _split_rays
 from untensor.linalg import (
     Scaled,
     Subspace,
@@ -34,7 +34,6 @@ from untensor.linalg import (
     proportionality_ratio,
     linear_combination,
     to_integers,
-    vadd,
     vscale,
 )
 from untensor.tensor_space import TensorSpace
@@ -63,55 +62,80 @@ class Completion:
     scale: Fraction
 
 
-def _symmetrize_nonzero_corner(sq: Square) -> Square | None:
-    """Rotate the square so corner a is nonzero; the conditions are invariant
-    under swapping rows, swapping columns, or both."""
-    if not is_zero_vector(sq.a):
-        return sq
-    if not is_zero_vector(sq.c):
-        return Square(sq.c, sq.d, sq.a, sq.b)
-    if not is_zero_vector(sq.b):
-        return Square(sq.b, sq.a, sq.d, sq.c)
-    if not is_zero_vector(sq.d):
-        return Square(sq.d, sq.c, sq.b, sq.a)
-    return None
+# The orders of the corners (a, b, c, d) that move a given corner to the
+# place of a: the square conditions are invariant under swapping rows,
+# swapping columns, or both.
+_ORIENTATIONS = ((0, 1, 2, 3), (2, 3, 0, 1), (1, 0, 3, 2), (3, 2, 1, 0))
+
+
+def _read_corners(inst: TensorSpace, corners: Sequence[Sequence], *, nonzero: bool):
+    """The corners as integer vectors, taken in order up to the first one of
+    the wrong length (or, when nonzero is set, the first zero one), and one
+    `polar2_table` of them against themselves.
+
+    Returns (vectors, table, simple, failure): simple says whether every
+    corner read is simple, from the diagonal, which holds 2Q(x); failure is
+    the message for the corner that stopped the reading, or None.  For
+    simple x and y, Q(x + y) = 2B(x, y), so an off-diagonal entry that
+    vanishes says that x and y share a sheet.
+    """
+    vectors, failure = [], None
+    for corner in corners:
+        if len(corner) != inst.dim:
+            failure = "corner has the wrong ambient length"
+        elif nonzero and is_zero_vector(corner):
+            failure = "corners must be nonzero"
+        if failure:
+            break
+        vectors.append(to_integers(corner))
+    table = inst.polar2_table(vectors, vectors)
+    simple = not any(any(table[i][i].ints) for i in range(len(vectors)))
+    return vectors, table, simple, failure
 
 
 def is_square(inst: TensorSpace, sq: Square) -> bool:
-    """Validate the square conditions exactly.
+    """Validate the square conditions exactly, from one `polar2_table` of
+    the four corners.
 
-    The proportional forms are checked first; in the generic case the
-    sheet pattern is checked through sum-simplicity of the four adjacent
-    pairs, non-simplicity of both diagonals (which pins the two foliations
-    as genuinely distinct), and simplicity of the total sum.
+    A non-simple corner before the first corner of the wrong length fails
+    the square; a wrong length raises PreconditionViolated.  The
+    proportional forms are checked next, on the square turned so that its
+    corner a is nonzero.  In the generic case the sheet pattern is read off
+    the table: the rows and the columns share sheets and the diagonals do
+    not (which pins the two foliations as genuinely distinct).  The total
+    sum is simple when the six pair values sum to zero, since every Q_k
+    vanishes on the corners.
     """
-    for corner in (sq.a, sq.b, sq.c, sq.d):
-        if len(corner) != inst.dim:
-            raise PreconditionViolated("corner has the wrong ambient length")
-        if not inst.is_simple(corner):
-            return False
-    oriented = _symmetrize_nonzero_corner(sq)
-    if oriented is None:
+    corners = (sq.a, sq.b, sq.c, sq.d)
+    _, table, simple, failure = _read_corners(inst, corners, nonzero=False)
+    if not simple:
+        return False
+    if failure:
+        raise PreconditionViolated(failure)
+
+    def shared(i: int, j: int) -> bool:
+        return not any(table[i][j].ints)
+
+    order = next((o for o in _ORIENTATIONS if not is_zero_vector(corners[o[0]])), None)
+    if order is None:
         return True  # the all-zero square
-    a, b, c, d = oriented.a, oriented.b, oriented.c, oriented.d
+    ia, ib, ic, _ = order
+    a, b, c, d = (corners[i] for i in order)
     mu = proportionality_ratio(a, b)
     lam = proportionality_ratio(a, c)
     if mu is not None and lam is not None:
         return d == vscale(lam * mu, a)
     if mu is not None:
-        return d == vscale(mu, c) and same_sheet(inst, a, c)
+        return d == vscale(mu, c) and shared(ia, ic)
     if lam is not None:
-        return d == vscale(lam, b) and same_sheet(inst, a, b)
-    if is_zero_vector(d):
-        return False  # d = 0 in the generic branch forces b or c to vanish
+        return d == vscale(lam, b) and shared(ia, ib)
+    # Every turn keeps the rows, columns and diagonals as pairs, so the table
+    # is read unturned; a zero corner shares a sheet with all, so it fails.
     return (
-        same_sheet(inst, a, b)
-        and same_sheet(inst, a, c)
-        and same_sheet(inst, b, d)
-        and same_sheet(inst, c, d)
-        and not same_sheet(inst, a, d)
-        and not same_sheet(inst, b, c)
-        and inst.is_simple(vadd(vadd(a, b), vadd(c, d)))
+        all(shared(i, j) for i, j in ((0, 1), (0, 2), (1, 3), (2, 3)))
+        and not shared(0, 3)
+        and not shared(1, 2)
+        and not any(linear_combination([table[i][j] for i in range(4) for j in range(i + 1, 4)], (1,) * 6).ints)
     )
 
 
@@ -146,20 +170,9 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
     2Q(x), and for simple x and y, Q(x + y) = 2B(x, y).  The corners are
     checked in order, each for its length, for zero, then for simplicity.
     """
-    a = tuple(a)
-    b = tuple(b)
-    c = tuple(c)
-    corners, failure = [], None
-    for corner in (a, b, c):
-        if len(corner) != inst.dim:
-            failure = "corner has the wrong ambient length"
-        elif is_zero_vector(corner):
-            failure = "corners must be nonzero"
-        if failure:
-            break
-        corners.append(to_integers(corner))
-    table = inst.polar2_table(corners, corners)
-    if any(any(table[i][i].ints) for i in range(len(corners))):
+    a, b, c = tuple(a), tuple(b), tuple(c)
+    corners, table, simple, failure = _read_corners(inst, (a, b, c), nonzero=True)
+    if not simple:
         raise PreconditionViolated("corners must be simple")
     if failure:
         raise PreconditionViolated(failure)

@@ -13,24 +13,25 @@ Recovery code is limited to those three.  `embed_simple` and
 `hidden_coordinates` reach behind the scramble and exist for instance
 generation, verification, and tests only.
 
-Every oracle evaluation goes through one signed-minor polar form,
-`_polar2`, which builds the list of
+Every form query is a read of one private counted evaluator, `_forms`,
+which builds the lists of
 
     2*B_k(u, w) = u_a w_d + u_d w_a - sign * (u_b w_c + u_c w_b)
 
-over all minors k, on hidden coordinates u, w.  The minors are stored once
-as (a, b, c, d, sign) on flat grid indices, with sign -1 only on the minor
-flipped by `inject_quadric_fault`.  The oracle answers in the `Scaled`
-form of `linalg`, integers over one positive denominator, and takes its
-vector arguments in either form:
+over all minors k, for a table of pairs of hidden coordinates u, w.  The
+minors are stored once as (a, b, c, d, sign) on flat grid indices, with
+sign -1 only on the minor flipped by `inject_quadric_fault`.  The oracle
+answers in the `Scaled` form of `linalg`, integers over one positive
+denominator, and takes its vector arguments in either form:
 
-* `minor_values(v)` is Q_k(v) = 2*B_k(v, v) / 2, as (2*B_k(u, u), 2 q^2);
-* `is_simple(v)` asks that every 2*B_k(v, v) vanish;
-* `polar2_values(x, y)` is 2*B_k(x, y), as (2*B_k(u, w), q_x q_y);
-* `polar2_table(xs, ys)` is every polar2_values(x, y) for x in xs and y
-  in ys, with the hidden coordinates of each vector computed once;
+* `polar2_table(xs, ys)` is the table itself: entry [i][j] is
+  2*B_k(xs[i], ys[j]), as (2*B_k(u, w), q_x q_y);
+* `polar2_values(x, y)` is its one entry for [x] against [y];
+* `minor_values(v)` is Q_k(v), the diagonal entry of [v] against itself
+  halved, as (2*B_k(u, u), 2 q^2);
+* `is_simple(v)` is the zero test of that diagonal entry;
 * `binary_restriction(d1, d2)` is the three answers Q(d1), 2*B(d1, d2)
-  and Q(d2), each a `Scaled` over all quadrics;
+  and Q(d2) read off the table of [d1, d2] against itself;
 * row k of `polar2_rows(v)` is 2*B_k(v, .) taken against the columns of
   the inverse scramble.  That row is one integer combination of the four
   inverse rows a, b, c, d of minor k, with the hidden coordinates of v as
@@ -39,17 +40,20 @@ vector arguments in either form:
 
 Here u / q are the hidden coordinates of v (see below).  No Fraction
 is built for an answer unless a caller asks for it (`Scaled.fractions`,
-`Matrix.rows`), which no recovery path does.  None of these public methods
-calls another, so each query bumps `oracle_calls` once: a batch such as
-`polar2_table` or `binary_restriction` counts as one call, however many
-form values it holds.  A vector of the wrong length is refused before
-anything is counted.  A caller that asks many form values at once asks
-them as one table, so `polar2_rows` serves only where a tangent space is
-taken in full.
+`Matrix.rows`), which no recovery path does.  The counting rule: `_forms`
+counts one call per batch it evaluates, and every public query is exactly
+one evaluation (`polar2_rows` counts its own one), so each query bumps
+`oracle_calls` exactly once, however many form values it holds.  A vector
+of the wrong length is refused before anything is counted.  A caller that
+asks many form values at once asks them as one table, so `polar2_rows`
+serves only where a tangent space is taken in full.  `polar2_values` and
+`binary_restriction` are one-line reads of the table that could go, but
+the benchmark's span tracer times them by name, so they stay until it
+does not.
 
-Every answer is the exact value of its forms, so `quadric_values` is
-`minor_values` read as Fractions, and `quadrics` (the pulled-back Gram
-matrices) stays the independent reference the form is tested against.
+Every answer is the exact value of its forms, and `quadrics` (the
+pulled-back Gram matrices) stays the independent reference the form is
+tested against.
 
 The inverse scramble is stored once as integer rows over one positive
 common denominator, with their common gcd divided out, taken from the
@@ -275,58 +279,50 @@ class TensorSpace:
             raise DimensionMismatch.of(self.dim, len(ints))
         return [sum(map(mul, row, ints)) for row in self._inv_rows], den * self._inv_den
 
-    def _polar2(self, u: Sequence[int], w: Sequence[int]) -> list[int]:
-        """2*B_k(u, w) for every minor k, over the integers.
+    def _forms(self, xs: Sequence[Sequence], ys: Sequence[Sequence]) -> list[list[Scaled]]:
+        """2*B_k(x, y) for every minor k, for every x in xs and y in ys, as
+        one counted query: entry [i][j] is over q_x q_y.
 
-        u and w are hidden coordinates over their own denominators; minor
-        k = (a, b, c, d, sign) reads x_a x_d - sign * x_b x_c, so
-        2*B_k(u, u) is twice its value.
+        Every vector is checked for its length before anything is counted,
+        and its hidden coordinates are computed once.  When ys is xs the
+        table is symmetric, so each pair is evaluated once and the two
+        entries share one answer.  Minor k = (a, b, c, d, sign) reads
+        x_a x_d - sign * x_b x_c, so a diagonal entry is twice Q_k.
         """
-        return [u[a] * w[d] + u[d] * w[a] - sign * (u[b] * w[c] + u[c] * w[b]) for a, b, c, d, sign in self._minors]
+        symmetric = ys is xs
+        us = [self._scaled_hidden(x) for x in xs]
+        ws = us if symmetric else [self._scaled_hidden(y) for y in ys]
+        self.stats.oracle_calls += 1
+        minors = self._minors
+        table = [[None] * len(ws) for _ in us]
+        for i, (u, qu) in enumerate(us):
+            for j in range(i if symmetric else 0, len(ws)):
+                w, qw = ws[j]
+                values = [u[a] * w[d] + u[d] * w[a] - sign * (u[b] * w[c] + u[c] * w[b]) for a, b, c, d, sign in minors]
+                table[i][j] = Scaled(values, qu * qw)
+                if symmetric:
+                    table[j][i] = table[i][j]
+        return table
 
     def minor_values(self, v: Sequence) -> Scaled:
         """All quadric values at v."""
-        u, q = self._scaled_hidden(v)
-        self.stats.oracle_calls += 1
-        return Scaled(self._polar2(u, u), 2 * q * q)
-
-    def quadric_values(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Exact values of every quadric at v."""
-        return self.minor_values(v).fractions()
+        vs = [v]
+        return _halved(self._forms(vs, vs)[0][0])
 
     def is_simple(self, v: Sequence) -> bool:
         """Whether v lies on the common zero locus of all the quadrics."""
-        u, _ = self._scaled_hidden(v)
-        self.stats.oracle_calls += 1
-        return not any(self._polar2(u, u))
+        vs = [v]
+        return not any(self._forms(vs, vs)[0][0].ints)
 
     def polar2_values(self, x: Sequence, y: Sequence) -> Scaled:
         """2*B_k(x, y) for every quadric."""
-        u, qu = self._scaled_hidden(x)
-        w, qw = self._scaled_hidden(y)
-        self.stats.oracle_calls += 1
-        return Scaled(self._polar2(u, w), qu * qw)
+        return self._forms([x], [y])[0][0]
 
     def polar2_table(self, xs: Sequence[Sequence], ys: Sequence[Sequence]) -> list[list[Scaled]]:
         """2*B_k(x, y) for every quadric, for every x in xs and y in ys:
-        entry [i][j] is polar2_values(xs[i], ys[j]).
-
-        Each vector's hidden coordinates are computed once, and the whole
-        batch is one query.  When ys is xs the table is symmetric, so each
-        pair is evaluated once and the two entries share one answer.
-        """
-        us = [self._scaled_hidden(x) for x in xs]
-        ws = us if ys is xs else [self._scaled_hidden(y) for y in ys]
-        self.stats.oracle_calls += 1
-        polar2 = self._polar2
-        if ws is not us:
-            return [[Scaled(polar2(u, w), qu * qw) for w, qw in ws] for u, qu in us]
-        table = [[None] * len(us) for _ in us]
-        for i, (u, qu) in enumerate(us):
-            for j in range(i, len(us)):
-                w, qw = us[j]
-                table[i][j] = table[j][i] = Scaled(polar2(u, w), qu * qw)
-        return table
+        entry [i][j] is polar2_values(xs[i], ys[j]), and the whole batch is
+        one query.  Pass ys as xs itself for a symmetric table."""
+        return self._forms(xs, ys)
 
     def polar2_rows(self, v: Sequence) -> Matrix:
         """The stacked linear functionals w -> 2*B_k(v, w), one row per quadric.
@@ -352,11 +348,9 @@ class TensorSpace:
         Q_k(x d1 + y d2) proportional to A_k x^2 + B2_k xy + C_k y^2, the
         answers of minor_values(d1), polar2_values(d1, d2) and
         minor_values(d2) from one query."""
-        u, qu = self._scaled_hidden(d1)
-        w, qw = self._scaled_hidden(d2)
-        self.stats.oracle_calls += 1
-        polar2 = self._polar2
-        return Scaled(polar2(u, u), 2 * qu * qu), Scaled(polar2(u, w), qu * qw), Scaled(polar2(w, w), 2 * qw * qw)
+        pair = [d1, d2]
+        (aa, ab), (_, bb) = self._forms(pair, pair)
+        return _halved(aa), ab, _halved(bb)
 
     def sample_simple(self, rng: Random) -> Vector:
         """A random member of S: the image of a random nonzero integer grid."""
@@ -391,6 +385,11 @@ class TensorSpace:
 
     def __repr__(self) -> str:
         return f"TensorSpace(shape={self.shape.m}x{self.shape.n}, seed={self.seed})"
+
+
+def _halved(polar2: Scaled) -> Scaled:
+    """A diagonal entry 2*B_k(v, v) read as Q_k(v)."""
+    return Scaled(polar2.ints, 2 * polar2.den)
 
 
 def _check_sampler_range(sampler_range: int) -> None:

@@ -342,6 +342,22 @@ class TestSimpleCheckAndSquares:
         assert code == 2
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("where", ["recover", "corners", "--vector", "--vector-file"])
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys, ident_file, where):
+        # the decoder gives up on this nesting with a RecursionError
+        nested = "[" * 200000 + "]" * 200000
+        path = tmp_path / "nested.json"
+        path.write_text(nested)
+        argv = {
+            "recover": ["recover", str(path)],
+            "corners": ["square-complete", str(ident_file), str(path)],
+            "--vector": ["simple-check", str(ident_file), "--vector", nested],
+            "--vector-file": ["simple-check", str(ident_file), "--vector-file", str(path)],
+        }[where]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "field, value",
         [

@@ -5,9 +5,10 @@ import pytest
 
 from untensor import linalg, squares
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.linalg import Scaled, Subspace, proportionality_ratio, vadd, vscale
+from untensor.foliation import same_sheet
+from untensor.linalg import Scaled, Subspace, is_zero_vector, proportionality_ratio, vadd, vector, vscale
 from untensor.squares import Completion, Square, complete_square, complete_square_details, is_square
-from untensor.tensor_space import build_instance, generate_instance
+from untensor.tensor_space import build_instance, generate_instance, inject_quadric_fault
 
 
 @pytest.fixture
@@ -52,6 +53,99 @@ class TestIsSquare:
         c = inst.embed_simple((0, 0, 1), beta)
         d = inst.embed_simple((1, 1, 1), beta)
         assert not is_square(inst, Square.of(a, b, c, d))
+
+
+def _is_square_by_pairs(inst, sq):
+    """The square conditions by their definition: is_simple per corner, with
+    each corner's length checked before it is asked, same_sheet per pair
+    and is_simple of the total, on the square turned so that a is nonzero."""
+    for corner in (sq.a, sq.b, sq.c, sq.d):
+        if len(corner) != inst.dim:
+            raise PreconditionViolated("corner has the wrong ambient length")
+        if not inst.is_simple(corner):
+            return False
+    turns = [(sq.a, sq.b, sq.c, sq.d), (sq.c, sq.d, sq.a, sq.b), (sq.b, sq.a, sq.d, sq.c), (sq.d, sq.c, sq.b, sq.a)]
+    turned = next((t for t in turns if not is_zero_vector(t[0])), None)
+    if turned is None:
+        return True
+    a, b, c, d = turned
+    mu, lam = proportionality_ratio(a, b), proportionality_ratio(a, c)
+    if mu is not None and lam is not None:
+        return d == vscale(lam * mu, a)
+    if mu is not None:
+        return d == vscale(mu, c) and same_sheet(inst, a, c)
+    if lam is not None:
+        return d == vscale(lam, b) and same_sheet(inst, a, b)
+    if is_zero_vector(d):
+        return False
+    return (
+        same_sheet(inst, a, b)
+        and same_sheet(inst, a, c)
+        and same_sheet(inst, b, d)
+        and same_sheet(inst, c, d)
+        and not same_sheet(inst, a, d)
+        and not same_sheet(inst, b, c)
+        and inst.is_simple(vadd(vadd(a, b), vadd(c, d)))
+    )
+
+
+def _candidate_squares(inst, rng):
+    """Valid squares of every case, and squares that break them: perturbed,
+    with zero, non-simple or short corners in each place."""
+    m, n = inst.shape.m, inst.shape.n
+    alpha0, alpha = (tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(2))
+    beta0, beta = (tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(2))
+    hidden = ((alpha0, beta0), (alpha0, beta), (alpha, beta0), (alpha, beta))
+    a, b, c, d = (inst.embed_simple(x, y) for x, y in hidden)
+    lam, mu = F(rng.randint(-5, 5), rng.randint(1, 3)), F(rng.randint(-5, 5), rng.randint(1, 3))
+    zero = vector([0] * inst.dim)
+    valid = (a, b, c, d)
+    yield valid
+    yield a, c, b, d
+    yield a, vscale(mu, a), c, vscale(mu, c)
+    yield a, b, vscale(lam, a), vscale(lam, b)
+    yield a, vscale(mu, a), vscale(lam, a), vscale(lam * mu, a)
+    yield a, vscale(mu, a), c, vscale(lam, c)
+    yield a, b, c, vscale(2, d)
+    yield a, d, c, b
+    yield a, b, c, vadd(d, a)
+    yield vscale(lam, a), vscale(lam, b), c, d
+    for place in range(4):
+        for bad in (zero, vadd(a, d), vadd(b, c), valid[place][:-1]):
+            yield tuple(bad if i == place else x for i, x in enumerate(valid))
+        yield tuple(vadd(a, d) if i < place else valid[i][:-1] if i == place else x for i, x in enumerate(valid))
+    for mask in range(1, 16):
+        yield tuple(zero if mask >> i & 1 else x for i, x in enumerate(valid))
+
+
+class TestIsSquareByPairs:
+    # A faulty copy flips the sign of one minor; the 1x3 shape has none to flip.
+    CASES = [(shape, faulty) for shape in [(2, 2), (2, 3), (3, 2), (3, 3)] for faulty in (0, 1)] + [((1, 3), 0)]
+
+    @pytest.mark.parametrize("shape, faulty", CASES)
+    def test_one_table_agrees_with_the_pairwise_definition(self, shape, faulty):
+        inst = generate_instance(shape, 17)
+        if faulty:
+            inst = inject_quadric_fault(inst, inst.quadric_count - 1)
+        rng = Random(31)
+        verdicts = set()
+        for _ in range(8):
+            for corners in _candidate_squares(inst, rng):
+                sq = Square.of(*corners)
+                try:
+                    expected = _is_square_by_pairs(inst, sq)
+                except PreconditionViolated as exc:
+                    expected = str(exc)
+                calls = inst.stats.oracle_calls
+                try:
+                    got = is_square(inst, sq)
+                except PreconditionViolated as exc:
+                    got = str(exc)
+                assert got == expected, corners
+                if all(len(x) == inst.dim for x in corners):
+                    assert inst.stats.oracle_calls == calls + 1
+                verdicts.add(got)
+        assert verdicts == {True, False, "corner has the wrong ambient length"}
 
 
 class TestCompleteSquare:

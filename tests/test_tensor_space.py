@@ -62,25 +62,65 @@ class TestGeneration:
         assert inst.scramble @ inst.scramble_inverse == Matrix.identity(6)
 
 
-class TestOracleStats:
-    def test_each_query_counts_once(self):
-        inst = generate_instance((2, 3), 3)
-        rng = Random(4)
-        v, w = inst.sample_simple(rng), inst.sample_simple(rng)
-        queries = [
-            lambda: inst.is_simple(v),
-            lambda: inst.minor_values(v),
-            lambda: inst.polar2_values(v, w),
-            lambda: inst.polar2_rows(v),
-            lambda: inst.binary_restriction(v, w),
-            lambda: inst.polar2_table([v, w], [w, v, w]),
-            lambda: inst.polar2_table([], [v]),
-        ]
-        for k, query in enumerate(queries, 1):
-            query()
-            assert (inst.stats.oracle_calls, inst.stats.samples) == (k, 2)
-        inst.quadric_values(v)
-        assert inst.stats.oracle_calls == len(queries) + 1
+class TestOracleForms:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_each_query_is_one_counted_gram_answer(self, data):
+        """Every form query of a generated instance, or of a sign-faulted
+        copy, against the Gram matrices of `quadrics`: its values, the
+        denominator it holds (2 q^2 for minor_values, q_x q_y for a polar
+        answer, with q that of the hidden coordinates) and exactly one
+        counted call, with no sample."""
+        shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+        inst = generate_instance(shape, data.draw(st.integers(0, 10**6)))
+        if inst.quadric_count and data.draw(st.booleans()):
+            inst = inject_quadric_fault(inst, data.draw(st.integers(0, inst.quadric_count - 1)))
+        entry = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+        def point():
+            """A vector as Fractions, and as the query is given it: the same
+            Fractions or a `Scaled` over a multiple of their denominator."""
+            if data.draw(st.booleans()):
+                v = inst.sample_simple(Random(data.draw(st.integers(0, 10**6))))
+            else:
+                v = vector(data.draw(st.lists(entry, min_size=inst.dim, max_size=inst.dim)))
+            k = data.draw(st.integers(0, 4))
+            ints, den = to_integers(v)
+            return v, v if k == 0 else Scaled([k * x for x in ints], k * den)
+
+        def q(arg):
+            return to_integers(arg).den * inst._inv_den
+
+        def minor_answer(answer, v, arg):
+            assert type(answer) is Scaled and answer.den == 2 * q(arg) ** 2
+            return list(answer.fractions()) == [form.evaluate(v) for form in inst.quadrics]
+
+        def polar_answer(answer, v, varg, w, warg):
+            assert type(answer) is Scaled and answer.den == q(varg) * q(warg)
+            return list(answer.fractions()) == [2 * form.polarize(v, w) for form in inst.quadrics]
+
+        def one_call(query, *args):
+            counts = (inst.stats.oracle_calls + 1, inst.stats.samples)
+            answer = query(*args)
+            assert (inst.stats.oracle_calls, inst.stats.samples) == counts
+            return answer
+
+        points = [point() for _ in range(3)]
+        (x, xa), (y, ya) = points[:2]
+        assert one_call(inst.is_simple, xa) == (not any(form.evaluate(x) for form in inst.quadrics))
+        assert minor_answer(one_call(inst.minor_values, xa), x, xa)
+        assert polar_answer(one_call(inst.polar2_values, xa, ya), x, xa, y, ya)
+        assert one_call(inst.polar2_rows, xa).apply(y) == tuple(2 * form.polarize(x, y) for form in inst.quadrics)
+        first, middle, last = one_call(inst.binary_restriction, xa, ya)
+        assert minor_answer(first, x, xa) and polar_answer(middle, x, xa, y, ya) and minor_answer(last, y, ya)
+        xs = points[: data.draw(st.integers(0, 3))]
+        ys = xs if data.draw(st.booleans()) else points[data.draw(st.integers(0, 3)) :]
+        x_args = [arg for _, arg in xs]
+        table = one_call(inst.polar2_table, x_args, x_args if ys is xs else [arg for _, arg in ys])
+        assert len(table) == len(xs) and all(len(row) == len(ys) for row in table)
+        for (v, varg), row in zip(xs, table):
+            for (w, warg), answer in zip(ys, row):
+                assert polar_answer(answer, v, varg, w, warg)
         inst.stats.reset()
         assert (inst.stats.oracle_calls, inst.stats.samples) == (0, 0)
 
@@ -199,7 +239,6 @@ class TestQuadricConsistency:
                 w = vector([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(inst.dim)])
                 reference = [q.evaluate(v) for q in quadrics]
                 assert list(inst.minor_values(v).fractions()) == reference
-                assert list(inst.quadric_values(v)) == reference
                 assert inst.is_simple(v) == all(x == 0 for x in reference)
                 on_cone += inst.is_simple(v)
                 polar = inst.polar2_values(v, w)
@@ -388,7 +427,7 @@ class TestOracleBoundary:
     )
 
     def test_private_names_are_read_off_the_instance(self):
-        assert {"_minors", "_inv_rows", "_inv_den", "_quadrics", "_polar2", "_scaled_hidden", "_point_at"} <= self.PRIVATE
+        assert {"_minors", "_inv_rows", "_inv_den", "_quadrics", "_forms", "_scaled_hidden", "_point_at"} <= self.PRIVATE
         assert not any(name.startswith("__") for name in self.PRIVATE)
 
     def test_private_oracle_names_stay_in_tensor_space(self):
