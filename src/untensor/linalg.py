@@ -23,10 +23,13 @@ first nonzero coordinate is 1.
 Every elimination runs through one integer core, `_eliminate`: each row is
 scaled by the lcm of its denominators, rows are combined fraction-free over
 Python `int` with their gcd content divided out after every update
-(Bareiss 1968 keeps the same integrality with exact quotients).  Four
+(Bareiss 1968 keeps the same integrality with exact quotients).  Five
 functions call it: `_null_vectors`, which every kernel, meet, tall rank and
-solve reads, `Matrix.rank`, `inverse_and_determinant` and the `Subspace`
-reduction.
+solve reads, `Matrix.rank`, `inverse`, `determinant` and the `Subspace`
+reduction.  `successive_null_vectors` is a second, separate rule for a
+system expected to leave one null vector: it restricts each row to the
+null vectors of the rows before it, and removes one of them per row that
+does not vanish on them, with the same fraction-free update.
 
 A `Matrix` holds its entries in one of two forms: Fraction rows, or integer
 rows with one nonzero denominator per row.  The public constructor makes
@@ -83,7 +86,9 @@ class Scaled(NamedTuple):
 
     Two producers return lowest terms (gcd(den, *ints) == 1):
     `to_integers` of Fractions and `linear_combination`.  The others need
-    not: the oracle's answers, `parse_integers`, `_solve_columns`,
+    not: the oracle's answers (built from hidden coordinates in lowest
+    terms, but a product of two reduced coordinate vectors need not be in
+    lowest terms), `parse_integers`, `_solve_columns`,
     `Subspace.integer_coordinates`, `rank_one_split` and
     `Matrix.scaled_rows`."""
 
@@ -421,7 +426,7 @@ class Matrix:
         return determinant(self)
 
     def inverse(self) -> "Matrix":
-        inv, _ = inverse_and_determinant(self)
+        inv = inverse(self)
         if inv is None:
             raise ValueError("matrix is singular")
         return inv
@@ -467,7 +472,7 @@ def _eliminate(
     the swaps, combinations and content divisions multiplied the determinant
     of a square input, so det(input) = prod(pivot entries) / factor.  It is
     1 otherwise, because its products grow with every update and would slow
-    the tall kernels that never need it.
+    the kernels and inverses that never need it.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -579,31 +584,70 @@ def _lifted_null_vectors(
     return out
 
 
-def inverse_and_determinant(m: Matrix) -> tuple[Matrix | None, Fraction]:
-    """The inverse (None when m is singular) and the determinant of a square m.
+def successive_null_vectors(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Integer null vectors spanning the kernel of integer rows, found one
+    row at a time: a basis of the kernel, but not its canonical one.
 
-    Both come from one elimination of [m | I]: the right half of the
-    reduced rows is the inverse, and the product of the left half's pivot
-    entries, corrected by the factor the elimination and the clearing of
-    denominators multiplied the determinant by, is the determinant.  Row i
-    of m is ints_i / den_i, so row i of [m | I] is cleared to
-    [ints_i | den_i e_i], and each row of the inverse is over its pivot.
+    The null vectors start as the ncols unit vectors.  Each row is
+    restricted to the null vectors of the rows before it, one integer dot
+    product per vector.  When some restriction is nonzero, the first such
+    vector k_i, with value w_i, is removed, and every other k_j with value
+    w_j != 0 becomes (w_i k_j - w_j k_i) / g, g = gcd(w_i, w_j), with its
+    gcd content divided out; the rest stay as they are.  Rows after the
+    last null vector is removed are not read.
+
+    A system that leaves few null vectors, read in an order whose early
+    rows are independent, costs few dot products per row this way; a
+    system that must give its canonical basis goes through `_null_vectors`.
+    """
+    basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for row in rows:
+        values = [sum(map(mul, row, k)) for k in basis]
+        pivot = next((i for i, w in enumerate(values) if w), None)
+        if pivot is None:
+            continue
+        p, kp = values.pop(pivot), basis.pop(pivot)
+        for i, w in enumerate(values):
+            if w:
+                g = gcd(p, w)
+                pg, wg = p // g, w // g
+                k = [pg * x - wg * y for x, y in zip(basis[i], kp)]
+                g = gcd(*k)
+                basis[i] = k if g == 1 else [x // g for x in k]
+        if not basis:
+            break
+    return basis
+
+
+def inverse(m: Matrix) -> Matrix | None:
+    """The inverse of a square m, or None when m is singular.
+
+    It comes from one elimination of [m | I]: the right half of the reduced
+    rows is the inverse.  Row i of m is ints_i / den_i, so row i of [m | I]
+    is cleared to [ints_i | den_i e_i], and each row of the inverse is over
+    its pivot.  No determinant is tracked.
     """
     if m.nrows != m.ncols:
         raise ValueError("only square matrices invert")
     n = m.nrows
-    cleared = m._cleared()
-    aug = [ints + [den if i == j else 0 for j in range(n)] for i, (ints, den) in enumerate(cleared)]
-    pivots, factor = _eliminate(aug, 2 * n, track_det=True)
+    aug = [ints + [den if i == j else 0 for j in range(n)] for i, (ints, den) in enumerate(m._cleared())]
+    pivots, _ = _eliminate(aug, 2 * n)
     if pivots != list(range(n)):
-        return None, ZERO
-    inverse = Matrix._trusted([(row[n:], row[c]) for row, c in zip(aug, pivots)], n)
-    return inverse, prod(row[c] for row, c in zip(aug, pivots)) / (factor * prod(den for _, den in cleared))
+        return None
+    return Matrix._trusted([(row[n:], row[c]) for row, c in zip(aug, pivots)], n)
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Determinant of a square m, read off the elimination that inverts it."""
-    return inverse_and_determinant(m)[1]
+    """Determinant of a square m, from one elimination of m alone: the
+    product of the pivot entries, corrected by the factor the elimination
+    and the clearing of denominators multiplied the determinant by."""
+    if m.nrows != m.ncols:
+        raise ValueError("only square matrices have a determinant")
+    rows = m._elimination_rows()
+    pivots, factor = _eliminate(rows, m.ncols, track_det=True)
+    if len(pivots) < m.nrows:
+        return ZERO
+    return prod(row[c] for row, c in zip(rows, pivots)) / (factor * prod(den for _, den in m._cleared()))
 
 
 def _solve_columns(a: Matrix, columns: Sequence[Sequence]) -> list[Scaled | None]:

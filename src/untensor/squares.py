@@ -6,8 +6,11 @@ one foliation and the column pairs in the other.  Three corners pin the
 fourth uniquely.  The tangent spaces of b and c meet in a plane whose
 trace on the cone is two rays: the ray of a, and the ray of d, where the
 sheet through b (in the foliation of {a, c}) crosses the sheet through c
-(in the foliation of {a, b}).  `foliation._split_rays` splits the plane
-into those two rays, and d lies on the one that is not the ray of a.  The
+(in the foliation of {a, b}).  The plane is span(a, p), and p is the one
+null vector, zero at a's lead coordinate, of the polar rows of b and c,
+found one row at a time (`linalg.successive_null_vectors`); no tangent
+space is taken in full.  `foliation._split_rays` splits the plane into
+those two rays, and d lies on the one that is not the ray of a.  The
 scale along that ray is fixed by demanding the total sum stay on the
 cone, which is a linear condition because the quadratic term of every
 quadric dies on the ray.
@@ -27,12 +30,12 @@ from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
 from untensor.foliation import _split_rays
 from untensor.linalg import (
     Scaled,
-    Subspace,
     Vector,
+    first_nonzero_index,
     is_zero_vector,
-    kernel,
     proportionality_ratio,
     linear_combination,
+    successive_null_vectors,
     to_integers,
     vscale,
 )
@@ -139,31 +142,43 @@ def is_square(inst: TensorSpace, sq: Square) -> bool:
     )
 
 
-def _corner_plane(inst: TensorSpace, b: Sequence, c: Sequence) -> Subspace:
-    """T(b) ∩ T(c) for corners already checked to be nonzero and simple:
-    `tangent_intersection` without its own checks on b and c, with c
-    restricted to T(b) through the form, 2B(c, k) for the basis k of T(b)."""
-    anchor = kernel(inst.polar2_rows(b))
-    return anchor.meet_values(inst.polar2_table([c], anchor.basis.scaled_rows())[0])
+def _plane_partners(inst: TensorSpace, a: Scaled, b: Scaled, c: Scaled) -> list[list[int]]:
+    """The null vectors, zero at the lead coordinate of a, of the polar rows
+    of b and c: row k of b then row k of c, after the unit row of that
+    coordinate (`successive_null_vectors`).
+
+    When a lies in T(b) ∩ T(c), as the corner table shows before the
+    generic branch runs, the plane is spanned by a and these vectors, so
+    the plane has dimension one more than their count.
+    """
+    unit = [0] * inst.dim
+    unit[first_nonzero_index(a.ints)] = 1
+    (rows_b, _), (rows_c, _) = inst.polar2_rows(b).integer_rows(), inst.polar2_rows(c).integer_rows()
+    return successive_null_vectors([unit, *(row for pair in zip(rows_b, rows_c) for row in pair)], inst.dim)
 
 
 def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence) -> Completion:
     """The unique d making ((a, b), (c, d)) a square, with diagnostics.
 
-    Generic path: the tangent spaces of b and c meet in a plane that must
-    contain a.  With p a basis vector of the plane not proportional to a,
-    `_split_rays(a, p)` splits the plane into two rays.  Since Q_k(a) = 0,
-    every quadric restricts to (0, 2 B_k(a, p), Q_k(p)), so the rays are
-    those of a and of 2 B(a, p) p - Q(p) a, and the second is the ray of
-    d.  With u its canonical generator (first nonzero coordinate 1) and
-    s = a + b + c, every quadric imposes Q_k(s) + t * 2 B_k(s, u) = 0 on
-    d = t u, and the system must have one consistent solution.
+    Generic path: the tangent spaces of b and c meet in a plane, and a lies
+    in it, since row k of `polar2_rows(b)` applied to a is 2B_k(b, a) and
+    the corner table has shown 2B(a, b) = 2B(a, c) = 0.  The plane is
+    therefore span(a, p), with p the one null vector, zero at a's lead
+    coordinate, of the polar rows of b and c, row k of b then row k of c
+    (`_plane_partners`).  `_split_rays(a, p)` splits the plane into two
+    rays, which are the same for any basis of the plane.  Since
+    Q_k(a) = 0, every quadric restricts to (0, 2 B_k(a, p), Q_k(p)), so
+    the rays are those of a and of 2 B(a, p) p - Q(p) a, and the second
+    is the ray of d.  With u its canonical generator (first nonzero
+    coordinate 1) and s = a + b + c, every quadric imposes
+    Q_k(s) + t * 2 B_k(s, u) = 0 on d = t u, and the system must have one
+    consistent solution; both terms come from one `polar2_table` of [s]
+    against [s, u], its first column halved.
 
-    A plane of dimension other than 2 raises Degenerate, and so does every
-    failure of `_split_rays`: quadrics that all vanish on the plane, that
-    are not proportional there, or that do not split into two rays.  A
-    plane missing a raises PreconditionViolated.  b is the anchor of the
-    plane, so c is only restricted to T(b).
+    A plane of dimension other than 2 (a count of null vectors other than
+    one) raises Degenerate, and so does every failure of `_split_rays`:
+    quadrics that all vanish on the plane, that are not proportional
+    there, or that do not split into two rays.
 
     Every simplicity and `same_sheet` test on the corners reads one
     `polar2_table` of the corners against themselves: its diagonal holds
@@ -194,15 +209,13 @@ def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequ
         raise PreconditionViolated("a must share a sheet with b and with c")
     if bc:
         raise PreconditionViolated("b and c lie across the square and must not share a sheet")
-    plane = _corner_plane(inst, b_ints, c_ints)
-    if plane.dim != 2:
-        raise Degenerate(f"tangent intersection has dimension {plane.dim}, need 2")
-    if not plane.contains(a_ints):
-        raise PreconditionViolated("the corner rays do not brace the square: a is off the plane of b and c")
-    p = next(row for row in plane.basis.scaled_rows() if proportionality_ratio(a_ints, row) is None)
-    u = next(g for g in _split_rays(inst, a_ints, p) if proportionality_ratio(a_ints, g) is None)
+    partners = _plane_partners(inst, a_ints, b_ints, c_ints)
+    if len(partners) != 1:
+        raise Degenerate(f"tangent intersection has dimension {len(partners) + 1}, need 2")
+    u = next(g for g in _split_rays(inst, a_ints, Scaled(partners[0], 1)) if proportionality_ratio(a_ints, g) is None)
     s = linear_combination(corners, (1, 1, 1))
-    t = common_root(inst.minor_values(s), inst.polar2_values(s, u))
+    [[ss, su]] = inst.polar2_table([s], [s, u])
+    t = common_root(Scaled(ss.ints, 2 * ss.den), su)
     return Completion(vscale(t, u), "generic", t)
 
 

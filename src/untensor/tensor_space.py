@@ -38,9 +38,9 @@ denominator, and takes its vector arguments in either form:
   coefficients, and the rows reach `linalg` as integers over one common
   denominator (`Matrix.from_integer_rows`).
 
-Here u / q are the hidden coordinates of v (see below).  No Fraction
-is built for an answer unless a caller asks for it (`Scaled.fractions`,
-`Matrix.rows`), which no recovery path does.  The counting rule: `_forms`
+Here u / q are the hidden coordinates of v, in lowest terms (see
+below).  No Fraction is built for an answer unless a caller asks for it
+(`Scaled.fractions`, `Matrix.rows`), which no recovery path does.  The counting rule: `_forms`
 counts one call per batch it evaluates, and every public query is exactly
 one evaluation (`polar2_rows` counts its own one), so each query bumps
 `oracle_calls` exactly once, however many form values it holds.  A vector
@@ -61,12 +61,16 @@ integer rows that eliminating the scramble yields, so the inverse's
 Fractions are never built for it.  For an integer scramble these are the
 rows of the adjugate divided by its content, up to sign, so the oracle
 multiplies no integer larger than an adjugate entry; the determinant
-shows in the denominators of the answers instead.  An oracle query
-clears the denominators of its input vector, once, in `_scaled_hidden`,
-evaluates the form with integer arithmetic and keeps no per-instance
-cache of unscrambled vectors.  `hidden_coordinates` reads the same
-integers, so the grids that verification inspects are integer matrices
-as well.
+shows in the denominator q instead.  For the image of a small grid, u
+and q share a factor about that size, and `_scaled_hidden` divides
+gcd(q, *u) out, so the hidden coordinates are in lowest terms and no
+answer carries that factor squared.  An answer need not be in lowest
+terms itself: a product of two reduced coordinate vectors can still
+share a factor with q_x q_y.  An oracle query clears the denominators
+of its input vector, once, in `_scaled_hidden`, evaluates the form with
+integer arithmetic and keeps no per-instance cache of unscrambled
+vectors.  `hidden_coordinates` reads the same integers, so the grids
+that verification inspects are integer matrices as well.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ from untensor.linalg import (
     Vector,
     ZERO,
     format_scalar,
-    inverse_and_determinant,
+    inverse,
     is_zero_vector,
     parse_integers,
     parse_matrix,
@@ -215,16 +219,16 @@ class TensorSpace:
         if scramble.shape != (shape.dim, shape.dim):
             raise DimensionMismatch.of((shape.dim, shape.dim), scramble.shape)
         _check_sampler_range(sampler_range)
-        inverse, _ = inverse_and_determinant(scramble)
-        if inverse is None:
+        scramble_inverse = inverse(scramble)
+        if scramble_inverse is None:
             raise ValueError("scramble must be invertible")
         self.shape = shape
         self.dim = shape.dim
         self.scramble = scramble
-        self.scramble_inverse = inverse
+        self.scramble_inverse = scramble_inverse
         # The inverse as integer rows over one positive denominator _inv_den,
         # with the common gcd of rows and denominator divided out.
-        rows, den = inverse.integer_rows()
+        rows, den = scramble_inverse.integer_rows()
         g = gcd(den, *[x for row in rows for x in row])
         self._inv_den = den // g
         self._inv_rows = tuple([x // g for x in row] for row in rows)
@@ -265,19 +269,26 @@ class TensorSpace:
         return self._quadrics
 
     def _scaled_hidden(self, v: Sequence) -> tuple[list[int], int]:
-        """inverse * v as (u, q): integers u over one positive denominator q.
+        """inverse * v as (u, q): integers u over one positive denominator q,
+        in lowest terms (gcd(q, *u) == 1).
 
         v may be a `Scaled` or a sequence of Fractions; this is the one
         place that clears it.  u / q are the hidden coordinates of v.  The
         integer inverse rows make this cheap enough to recompute on every
         query, so no per-instance cache of unscrambled vectors is kept.
-        Every query passes here first, so a vector of the wrong length is
-        refused here, before it counts as an oracle call.
+        The rows of the inverse are the adjugate's over its content, so for
+        a vector from a small grid u and q share a factor about the size of
+        the scramble's determinant; dividing it out here keeps it out of
+        every answer, which would carry it squared.  Every query passes
+        here first, so a vector of the wrong length is refused here, before
+        it counts as an oracle call.
         """
         ints, den = to_integers(v)
         if len(ints) != self.dim:
             raise DimensionMismatch.of(self.dim, len(ints))
-        return [sum(map(mul, row, ints)) for row in self._inv_rows], den * self._inv_den
+        u, q = [sum(map(mul, row, ints)) for row in self._inv_rows], den * self._inv_den
+        g = gcd(q, *u)
+        return (u, q) if g == 1 else ([x // g for x in u], q // g)
 
     def _forms(self, xs: Sequence[Sequence], ys: Sequence[Sequence]) -> list[list[Scaled]]:
         """2*B_k(x, y) for every minor k, for every x in xs and y in ys, as

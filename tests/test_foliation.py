@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from untensor import foliation, linalg, squares
+from untensor import foliation, linalg
 from untensor.errors import (
     Degenerate,
     MalformedSheets,
@@ -141,7 +141,6 @@ class TestTangentIntersection:
                 meet = anchor.meet_values(inst.polar2_table([s], basis)[0])
                 assert meet == tangent_intersection(inst, v, s)
                 assert meet.basis == Subspace(meet.basis.rows, inst.dim).basis
-            assert squares._corner_plane(inst, v, partners[0]) == tangent_intersection(inst, v, partners[0])
 
     def test_only_the_anchor_is_eliminated_in_full(self, monkeypatch):
         inst = generate_instance((3, 3), 9)

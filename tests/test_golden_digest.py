@@ -21,3 +21,17 @@ def test_2x2_prints_one_digest_per_item(capsys):
     shape_items = ["gen", "gen --pointed", "recover", "square-complete", "sheets", "phi", "lambda"]
     assert items[:7] == [f"{item} 2x2" for item in shape_items]
     assert items[7:] == [" ".join(argv) for argv in tool.SUITE_RUNS]
+
+
+def test_outputs_match_the_committed_digest(capsys):
+    """Every item of the default run against `tests/golden/digest.txt`, a
+    run of the tool kept in the repository: a change that claims to keep
+    behaviour must print the same lines.  The first item that differs is
+    named."""
+    tool = load_tool()
+    assert tool.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    golden = (Path(__file__).resolve().parent / "golden" / "digest.txt").read_text(encoding="utf-8").splitlines()
+    for got, want in zip(lines, golden):
+        assert got == want, f"output of {want[66:]!r} differs from the committed digest"
+    assert len(lines) == len(golden), f"{len(lines)} items printed, {len(golden)} committed"

@@ -317,14 +317,14 @@ class TestProductMatrix:
 
     def test_recovery_leaves_the_inverse_unbuilt(self, monkeypatch):
         inverted = []
-        invert = linalg.inverse_and_determinant
+        invert = linalg.inverse
 
         def counted(m):
             inverted.append(m)
             return invert(m)
 
         inst = generate_instance((3, 3), 2, pointed=True)
-        monkeypatch.setattr(linalg, "inverse_and_determinant", counted)
+        monkeypatch.setattr(linalg, "inverse", counted)
         recon = recover_factors(inst, Random(2))
         assert verify_round_trip(inst, recon).success
         assert inverted == []

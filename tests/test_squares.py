@@ -5,8 +5,19 @@ import pytest
 
 from untensor import linalg, squares
 from untensor.errors import Degenerate, InconsistentSquare, PreconditionViolated
-from untensor.foliation import same_sheet
-from untensor.linalg import Scaled, Subspace, is_zero_vector, proportionality_ratio, vadd, vector, vscale
+from untensor.foliation import same_sheet, tangent_intersection
+from untensor.linalg import (
+    Matrix,
+    Scaled,
+    Subspace,
+    is_zero_vector,
+    kernel,
+    proportionality_ratio,
+    to_integers,
+    vadd,
+    vector,
+    vscale,
+)
 from untensor.squares import Completion, Square, complete_square, complete_square_details, is_square
 from untensor.tensor_space import build_instance, generate_instance, inject_quadric_fault
 
@@ -164,8 +175,8 @@ class TestCompleteSquare:
         assert is_square(ident22, Square.of((3, 0, 0, 0), E11, E21, (0, 0, F(1, 3), 0)))
 
     def test_generic_completion_asks_about_each_corner_once(self, ident22, monkeypatch):
-        asked, tables = [], []
-        is_simple, polar2_table = ident22.is_simple, ident22.polar2_table
+        asked, tables, rows = [], [], []
+        is_simple, polar2_table, polar2_rows = ident22.is_simple, ident22.polar2_table, ident22.polar2_rows
 
         def recording_is_simple(v):
             asked.append(tuple(v))
@@ -175,17 +186,23 @@ class TestCompleteSquare:
             tables.append(([linalg.to_integers(x).fractions() for x in xs], ys is xs))
             return polar2_table(xs, ys)
 
+        def recording_rows(v):
+            rows.append(linalg.to_integers(v).fractions())
+            return polar2_rows(v)
+
         monkeypatch.setattr(ident22, "is_simple", recording_is_simple)
         monkeypatch.setattr(ident22, "polar2_table", recording_table)
+        monkeypatch.setattr(ident22, "polar2_rows", recording_rows)
         calls = ident22.stats.oracle_calls
         assert complete_square_details(ident22, E11, E12, E21).case == "generic"
         # One table of the corners against themselves decides their simplicity and the
-        # sheets they share; then c against the basis of T(b).  Nothing asks is_simple.
+        # sheets they share; the polar rows of b and c give the plane; one table of the
+        # total sum s against s and the ray of d gives the scale.  Nothing asks is_simple.
         assert asked == []
-        assert tables[0] == ([E11, E12, E21], True) and tables[1][0] == [E21] and len(tables) == 2
-        # The corner table, one polar2_rows, the table of c, one binary_restriction,
-        # one minor_values, one polar2_values.
-        assert ident22.stats.oracle_calls == calls + 6
+        assert tables == [([E11, E12, E21], True), ([(1, 1, 1, 0)], False)]
+        assert rows == [E12, E21]
+        # The corner table, two polar2_rows, one binary_restriction, the table of s.
+        assert ident22.stats.oracle_calls == calls + 5
 
     def test_row_and_column_cases(self):
         inst = generate_instance((3, 4), 4)
@@ -301,26 +318,66 @@ class TestGenericCompletion:
             assert details.scale == next(x for x in details.d if x != 0)
 
     def test_generic_4x4_plane_work(self, monkeypatch):
-        # The plane T(b) ∩ T(c) in square blocks: the 36x16 polar rows of b
-        # as a 16-row block and its 4 nonzero restricted rows, then the 36x7
-        # form values of c on T(b) as blocks of 7 and 3 rows; the rows left
-        # after those all restrict to zero, so no empty block is eliminated.
-        # No elimination has more rows than columns.
+        # The plane T(b) ∩ T(c) from one pass over the stacked polar rows: the unit row at
+        # a's lead coordinate, then row k of b and row k of c, 1 + 2 * 36 rows of 16 columns.
+        # The system has rank 15, so 15 of its rows each remove one of the 16 unit vectors
+        # and one null vector is left; nothing goes through the elimination core.
         inst = generate_instance((4, 4), 3)
         alpha0, alpha, beta0, beta = (1, 2, 0, -1), (3, -1, 1, 0), (2, 0, 1, 1), (0, 1, -1, 3)
-        eliminated = []
-        eliminate = linalg._eliminate
+        a, b, c = inst.embed_simple(alpha0, beta0), inst.embed_simple(alpha0, beta), inst.embed_simple(alpha, beta0)
+        eliminated, systems = [], []
+        eliminate, successive = linalg._eliminate, squares.successive_null_vectors
 
         def counted(rows, ncols, **kwargs):
             eliminated.append((len(rows), ncols))
             return eliminate(rows, ncols, **kwargs)
 
+        def recording(rows, ncols):
+            rows = list(rows)
+            null = successive(rows, ncols)
+            systems.append((rows, ncols, null))
+            return null
+
         monkeypatch.setattr(linalg, "_eliminate", counted)
-        details = complete_square_details(
-            inst, inst.embed_simple(alpha0, beta0), inst.embed_simple(alpha0, beta), inst.embed_simple(alpha, beta0)
-        )
-        assert eliminated == [(16, 16), (4, 8), (7, 7), (3, 3)]
+        monkeypatch.setattr(squares, "successive_null_vectors", recording)
+        details = complete_square_details(inst, a, b, c)
+        assert eliminated == []
+        [(rows, ncols, null)] = systems
+        lead = next(i for i, x in enumerate(a) if x)
+        rows_b, _ = inst.polar2_rows(b).integer_rows()
+        rows_c, _ = inst.polar2_rows(c).integer_rows()
+        assert ncols == 16 and rows[0] == [int(i == lead) for i in range(16)]
+        assert rows[1::2] == rows_b and rows[2::2] == rows_c and len(rows) == 73
+        assert Matrix.from_integer_rows(rows, 1, 16).rank() == 15 and len(null) == 1
         assert details == Completion(inst.embed_simple(alpha, beta), "generic", F(-38))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4)])
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_partners_span_the_corner_plane(self, shape, faulty):
+        # span(a, p) is T(b) ∩ T(c) whenever a lies in it (as the corner table shows before
+        # the plane is taken); otherwise the partners span its meet with x[lead(a)] = 0.
+        inst = generate_instance(shape, 50 + shape[0] * shape[1])
+        if faulty:
+            inst = inject_quadric_fault(inst, inst.quadric_count - 1)
+        rng = Random(shape[0] * 10 + shape[1])
+        dim = inst.dim
+        for _ in range(4):
+            alpha0, alpha = _independent_pair(rng, shape[0])
+            beta0, beta = _independent_pair(rng, shape[1])
+            a, b, c = (inst.embed_simple(x, y) for x, y in ((alpha0, beta0), (alpha0, beta), (alpha, beta0)))
+            if inst.is_simple(b) and inst.is_simple(c):
+                plane = tangent_intersection(inst, b, c)
+            else:  # a faulted minor can leave a corner off the cone; T(x) is still ker polar2_rows(x)
+                plane = kernel(Matrix(inst.polar2_rows(b).rows + inst.polar2_rows(c).rows, dim))
+            a = to_integers(a)
+            partners = squares._plane_partners(inst, a, to_integers(b), to_integers(c))
+            if plane.contains(a.ints):
+                assert Subspace([a, *partners], dim) == plane
+                assert faulty or len(partners) == 1
+            else:
+                lead = next(i for i, x in enumerate(a.ints) if x)
+                unit = Matrix.from_integer_rows([[int(i == lead) for i in range(dim)]], 1, dim)
+                assert Subspace(partners, dim) == plane.meet_kernel(unit)
 
 
 class TestGenericFailures:
@@ -332,15 +389,10 @@ class TestGenericFailures:
 
     def test_plane_of_wrong_dimension(self, corners, monkeypatch):
         inst, a, b, c = corners
-        monkeypatch.setattr(squares, "_corner_plane", lambda *args: Subspace([a, b, c], 4))
-        with pytest.raises(Degenerate):
-            complete_square_details(inst, a, b, c)
-
-    def test_plane_missing_a(self, corners, monkeypatch):
-        inst, a, b, c = corners
-        monkeypatch.setattr(squares, "_corner_plane", lambda *args: Subspace([b, c], 4))
-        with pytest.raises(PreconditionViolated):
-            complete_square_details(inst, a, b, c)
+        for count in (0, 2):
+            monkeypatch.setattr(squares, "_plane_partners", lambda *args: [list(E22), list(E12)][:count])
+            with pytest.raises(Degenerate, match=f"^tangent intersection has dimension {count + 1}, need 2$"):
+                complete_square_details(inst, a, b, c)
 
     @pytest.mark.parametrize(
         "forms",
@@ -367,7 +419,14 @@ class TestGenericFailures:
     )
     def test_scale_step(self, corners, monkeypatch, constants, slopes, error):
         inst, a, b, c = corners
-        monkeypatch.setattr(inst, "minor_values", lambda v: Scaled(list(constants), 1))
-        monkeypatch.setattr(inst, "polar2_values", lambda x, y: Scaled(list(slopes), 1))
+        polar2_table = inst.polar2_table
+
+        def scale_table(xs, ys):
+            # The corner table is asked with ys as xs; the scale table holds 2Q(s) and 2B(s, u).
+            if ys is xs:
+                return polar2_table(xs, ys)
+            return [[Scaled([2 * x for x in constants], 1), Scaled(list(slopes), 1)]]
+
+        monkeypatch.setattr(inst, "polar2_table", scale_table)
         with pytest.raises(error):
             complete_square_details(inst, a, b, c)

@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -67,10 +68,10 @@ class TestOracleForms:
     @given(st.data())
     def test_each_query_is_one_counted_gram_answer(self, data):
         """Every form query of a generated instance, or of a sign-faulted
-        copy, against the Gram matrices of `quadrics`: its values, the
-        denominator it holds (2 q^2 for minor_values, q_x q_y for a polar
-        answer, with q that of the hidden coordinates) and exactly one
-        counted call, with no sample."""
+        copy, against the Gram matrices of `quadrics`: its values, a held
+        denominator that divides 2 q^2 for minor_values and q_x q_y for a
+        polar answer, with q = den * inv_den that of the unreduced hidden
+        coordinates, and exactly one counted call, with no sample."""
         shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
         inst = generate_instance(shape, data.draw(st.integers(0, 10**6)))
         if inst.quadric_count and data.draw(st.booleans()):
@@ -92,11 +93,11 @@ class TestOracleForms:
             return to_integers(arg).den * inst._inv_den
 
         def minor_answer(answer, v, arg):
-            assert type(answer) is Scaled and answer.den == 2 * q(arg) ** 2
+            assert type(answer) is Scaled and (2 * q(arg) ** 2) % answer.den == 0
             return list(answer.fractions()) == [form.evaluate(v) for form in inst.quadrics]
 
         def polar_answer(answer, v, varg, w, warg):
-            assert type(answer) is Scaled and answer.den == q(varg) * q(warg)
+            assert type(answer) is Scaled and (q(varg) * q(warg)) % answer.den == 0
             return list(answer.fractions()) == [2 * form.polarize(v, w) for form in inst.quadrics]
 
         def one_call(query, *args):
@@ -107,6 +108,8 @@ class TestOracleForms:
 
         points = [point() for _ in range(3)]
         (x, xa), (y, ya) = points[:2]
+        u, qx = inst._scaled_hidden(xa)
+        assert qx > 0 and gcd(qx, *u) == 1 and inst.hidden_coordinates(xa).rows == inst.hidden_coordinates(x).rows
         assert one_call(inst.is_simple, xa) == (not any(form.evaluate(x) for form in inst.quadrics))
         assert minor_answer(one_call(inst.minor_values, xa), x, xa)
         assert polar_answer(one_call(inst.polar2_values, xa, ya), x, xa, y, ya)
@@ -123,6 +126,18 @@ class TestOracleForms:
                 assert polar_answer(answer, v, varg, w, warg)
         inst.stats.reset()
         assert (inst.stats.oracle_calls, inst.stats.samples) == (0, 0)
+
+
+    def test_answers_about_grid_images_hold_small_integers(self):
+        # The hidden coordinates of the image of an integer grid are that grid over 1
+        # once gcd(q, *u) is divided out, so answers about grid images hold small
+        # integers: 8 bits at most here at 5x5 (140 when the common factor was kept).
+        inst = generate_instance((5, 5), 1, pointed=True)
+        g = inst.embed_simple((1, 2, 0, -1, 3), (2, -1, 1, 0, 1))
+        [[ww, wg]] = inst.polar2_table([inst.base_point], [inst.base_point, g])
+        answers = [ww, wg, inst.minor_values(g)]
+        assert [a.den for a in answers] == [1, 1, 2]
+        assert max(abs(x).bit_length() for a in answers for x in [a.den, *a.ints]) == 8
 
 
 class TestMembership:
