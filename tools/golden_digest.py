@@ -5,7 +5,7 @@ item, so a refactor that claims to keep behaviour can show it by diffing
 this tool's output before and after.  Uses the standard library and the
 untensor sources of this checkout.
 
-    python tools/golden_digest.py [--shapes 2x2,2x3,3x3,3x4,4x4]
+    python tools/golden_digest.py [--shapes 2x2,2x3,3x3,3x4,4x4,5x5]
 
 For each shape m x n it runs the CLI in-process with fixed seeds:
 
@@ -39,7 +39,7 @@ from untensor.linalg import format_scalar  # noqa: E402
 from untensor.reconstruct import recover_factors, verify_round_trip  # noqa: E402
 from untensor.tensor_space import load_instance  # noqa: E402
 
-DEFAULT_SHAPES = "2x2,2x3,3x3,3x4,4x4"
+DEFAULT_SHAPES = "2x2,2x3,3x3,3x4,4x4,5x5"
 SEED = 7
 SUITE_RUNS = (
     ("naturality", "--trials", "2", "--seed", "4"),
