@@ -43,7 +43,6 @@ from untensor.linalg import (
 )
 from untensor.reconstruct import Reconstruction, _flattened
 from untensor.tensor_space import TensorSpace
-from untensor.foliation import Sheet
 
 
 @dataclass(frozen=True)
@@ -143,14 +142,6 @@ def preserves_cone_empirically(f: LinearMorphism, rng, trials: int = 50) -> bool
         if not f.target.is_simple(f.apply(s)):
             return False
     return True
-
-
-def recovered_pair(inst: TensorSpace, recon: Reconstruction) -> tuple[Sheet, Sheet, Vector]:
-    """The decomposition functor on a pointed object: both sheets plus the
-    base point they share."""
-    if inst.base_point is None:
-        raise PreconditionViolated("the decomposition functor acts on pointed instances")
-    return (recon.sheet_w1, recon.sheet_w2, recon.w0)
 
 
 def _coordinate_map(basis: Sequence[Sequence], images: Sequence[Vector]) -> Matrix | None:

@@ -20,16 +20,13 @@ canonical representative: two subspaces are equal iff their bases compare
 equal, and a ray (one-dimensional subspace) has a canonical generator whose
 first nonzero coordinate is 1.
 
-Every elimination runs through one integer core, `_eliminate`: each row is
-scaled by the lcm of its denominators, rows are combined fraction-free over
-Python `int` with their gcd content divided out after every update
-(Bareiss 1968 keeps the same integrality with exact quotients).  Five
-functions call it: `_null_vectors`, which every kernel, meet, tall rank and
-solve reads, `Matrix.rank`, `inverse`, `determinant` and the `Subspace`
-reduction.  `successive_null_vectors` is a second, separate rule for a
-system expected to leave one null vector: it restricts each row to the
-null vectors of the rows before it, and removes one of them per row that
-does not vanish on them, with the same fraction-free update.
+Two integer rules do all the exact work, and both scale each row by the
+lcm of its denominators and combine vectors fraction-free over Python `int`,
+with their gcd content divided out after every update (Bareiss 1968 keeps
+the same integrality with exact quotients).  `null_vectors` builds every
+null-vector basis, one row at a time: every kernel, meet, solve, rank and
+the square plane of `squares` read it.  `_eliminate` does the row-space
+jobs alone: the `Subspace` reduction, `inverse` and `determinant`.
 
 A `Matrix` holds its entries in one of two forms: Fraction rows, or integer
 rows with one nonzero denominator per row.  The public constructor makes
@@ -43,23 +40,20 @@ never changed in place, so matrices may share them.  Rows that this module
 built itself enter a `Matrix` or `Subspace` through private constructors
 that skip the coercion and reduction of the public ones.
 
-`kernel` eliminates with the columns in reverse order: every pivot row
-then ends at its pivot, so the null vectors read off the free columns
-already are the canonical reduced basis.  A system with more rows than
-columns is taken in square blocks, since ker [A; B] = ker A ∩ ker B: the
-first ncols rows are eliminated, and the other rows are restricted to
-their null vectors, so no elimination has more rows than columns and no
-modulus, fallback or setting is involved.  `Subspace.meet_values` uses
-the same lift for a subspace with a known basis K and a map L given by
-its values L·K: it eliminates L·K, which has one column per basis
-vector, instead of L itself.  `Subspace.meet_kernel` is the case of a
-row matrix m, with the values m·K.  When every restricted row is zero,
-nothing is eliminated.
-`Matrix.rank` of a tall matrix counts its null vectors.  `_solve_columns`
-reads every solution off the same null vectors, since solving a·x = b is
-finding the null vector of [-b | a] that is 1 at the b column: a solve
-and a kernel take a tall system by one rule, whatever the right-hand
-side.
+`null_vectors` starts from the unit vectors and restricts each row to the
+null vectors of the rows before it; a row that does not vanish on them
+removes the last one with a nonzero value and is combined into the
+others.  The basis stays the canonical reduced one after every row, so
+nothing is reduced or lifted afterwards.  A row costs one dot product per
+null vector left, and reading stops once none is left.  `kernel` returns
+that basis and `Matrix.rank` is the column count less its size.
+`Subspace.meet_values` takes a subspace with a known basis K and a map L
+given by its values L·K: it takes the null vectors of L·K, which has one
+column per basis vector, instead of those of L, and lifts them through K.
+`Subspace.meet_kernel` is the case of a row matrix m, with the values
+m·K.  `_solve_columns` reads every solution off the null vectors of one
+system, since solving a·x = b is finding the null vector of [-b | a]
+that is 1 at the b column.
 
 Scalars serialize as "p/q" strings ("p" when the denominator is 1) and
 round-trip exactly.  `parse_integers` and `parse_matrix` read them from
@@ -327,7 +321,8 @@ class Matrix:
         return self._ints
 
     def _elimination_rows(self) -> list[list[int]]:
-        """Integer rows with the same row space, in a fresh list for `_eliminate`."""
+        """Integer rows with the same row space, in a fresh list that
+        `_eliminate` may change in place."""
         return [ints for ints, _ in self._cleared()]
 
     def scaled_rows(self) -> list[Scaled]:
@@ -416,11 +411,8 @@ class Matrix:
     # -- elimination-based queries ------------------------------------------
 
     def rank(self) -> int:
-        """The row rank; a matrix with more rows than columns counts its
-        null vectors instead, which `_null_vectors` finds in square blocks."""
-        if self.nrows > self.ncols:
-            return self.ncols - len(_null_vectors(self._elimination_rows(), self.ncols))
-        return len(_eliminate(self._elimination_rows(), self.ncols)[0])
+        """The column count less the number of `null_vectors` of the rows."""
+        return self.ncols - len(null_vectors(self._elimination_rows(), self.ncols))
 
     def det(self) -> Fraction:
         return determinant(self)
@@ -454,9 +446,7 @@ def from_integers(ints: Sequence[int], den: int) -> Vector:
     return tuple(Fraction(x, den) if x else ZERO for x in ints)
 
 
-def _eliminate(
-    rows: list[list[int]], ncols: int, *, track_det: bool = False, reverse: bool = False
-) -> tuple[list[int], Fraction]:
+def _eliminate(rows: list[list[int]], ncols: int, *, track_det: bool = False) -> tuple[list[int], Fraction]:
     """Fraction-free Gauss-Jordan elimination over int, in place.
 
     A row update replaces a row by p*row - e*pivot_row (p the pivot entry,
@@ -464,15 +454,13 @@ def _eliminate(
     divides out the gcd content of the result, so rows stay primitive.
     Afterwards rows[r] (r < len(pivots)) is nonzero at pivots[r] and zero in
     every other pivot column, the remaining rows are zero, and dividing each
-    pivot row by its pivot entry gives the reduced row-echelon form.  With
-    reverse the columns are taken from the last to the first, so each pivot
-    row is instead zero in every column right of its pivot.
+    pivot row by its pivot entry gives the reduced row-echelon form.
 
     Returns the pivot columns and a factor: with track_det, the one by which
     the swaps, combinations and content divisions multiplied the determinant
     of a square input, so det(input) = prod(pivot entries) / factor.  It is
     1 otherwise, because its products grow with every update and would slow
-    the kernels and inverses that never need it.
+    the reductions and inverses that never need it.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -484,7 +472,7 @@ def _eliminate(
             if track_det:
                 divided *= g
     r = 0
-    for c in range(ncols - 1, -1, -1) if reverse else range(ncols):
+    for c in range(ncols):
         if r == nrows:
             break
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
@@ -515,108 +503,60 @@ def _eliminate(
     return pivots, Fraction(scaled, divided) if track_det else ONE
 
 
-def _null_vectors(rows: list[list[int]], ncols: int) -> list[tuple[list[int], int]]:
-    """Integer null vectors of the integer rows, as (z, f) for each free column f.
+def null_vectors(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[list[int], int]]:
+    """The canonical reduced basis of the kernel of integer rows, as (z, f)
+    for each free column f by increasing f, with z primitive and z[f] > 0:
+    z is zero left of f and at the other free columns.
 
-    One elimination with the columns in reverse order leaves every pivot
-    row zero right of its pivot, so the null vector that is 1 at f and 0 at
-    the other free columns is 0 left of f as well.  Taken by increasing f,
-    these vectors are the canonical reduced-echelon basis of the kernel;
-    each is returned scaled to integers, with z[f] > 0.
+    The basis is found one row at a time.  It starts as the ncols unit
+    vectors, each free at its own column.  Each row is restricted to the
+    current null vectors, one integer dot product per vector.  When some
+    value is nonzero, the last vector z_p with a nonzero value w_p is
+    removed, and every other z_j with a value w_j != 0 becomes
+    (w_p z_j - w_j z_p) / g, with g the gcd content taken with the sign of
+    w_p.  z_p is zero left of f_p and at the other free columns, and each
+    z_j it is combined into has f_j < f_p, so z_j stays zero left of f_j
+    and at the other free columns, and positive at f_j: after every row
+    the basis is the canonical one of the rows read so far, and nothing is
+    reduced afterwards.  Rows after the last null vector is removed are
+    not read.
 
-    A system with more rows than columns is taken in square blocks, since
-    ker [A; B] = ker A ∩ ker B: the null vectors K of the first ncols rows
-    come from one elimination, and the other rows are restricted to K, one
-    integer dot product per row and vector, and lifted back through it
-    (`_lifted_null_vectors`), so no elimination has more rows than columns.
-    The lifted vectors keep the contract above, and each is primitive:
-    dividing out its content keeps the entries small.
+    A null vector is zero at every free column but its own, so it is held
+    as its head z[f] and its tail, its entries at the columns of the
+    removed vectors: a dot product or an update reads one entry more than
+    the number of vectors removed so far, not ncols entries.
     """
-    if len(rows) > ncols:
-        head = _null_vectors(rows[:ncols], ncols)
-        basis = [z for z, _ in head]
-        restricted = [[sum(map(mul, row, k)) for k in basis] for row in rows[ncols:]]
-        return _lifted_null_vectors(restricted, basis, [f for _, f in head])
-    pivots, _ = _eliminate(rows, ncols, reverse=True)
-    pivot_rows = list(zip(pivots, rows))
-    pivot_set = set(pivots)
-    out = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        hits = [(c, row) for c, row in pivot_rows if row[f]]
-        scale = lcm(*[row[c] for c, row in hits])
-        z = [0] * ncols
-        z[f] = scale
-        for c, row in hits:
-            z[c] = -row[f] * (scale // row[c])
-        out.append((z, f))
-    return out
-
-
-def _lifted_null_vectors(
-    restricted: list[list[int]], basis: list[list[int]], leads: list[int]
-) -> list[tuple[list[int], int]]:
-    """The null vectors of a map inside the span of basis, as (x, leads[g])
-    with x primitive, from the restricted rows: the map's values on the
-    basis vectors k_i, one column per k_i.
-
-    x = sum w_i k_i lies in the kernel exactly when w is a null vector of
-    the restricted rows; rows that restrict to zero are dropped, and when
-    every row does, nothing is eliminated and each k_i is returned divided
-    by its content.  Each basis vector k_i must be zero left of its lead
-    column leads[i] and at the leads of the others, with increasing leads.
-    Since a null vector (w, g) is zero left of g and at the other free
-    columns, x is zero left of leads[g] and at the leads of the other
-    results, and x[leads[g]] = w_g k_g[leads[g]]: up to scale, the results
-    are the canonical basis of the meet, and x[leads[g]] > 0 when every k_i
-    is positive at its lead.
-    """
-    restricted = [r for r in restricted if any(r)]
-    if not restricted:
-        return [([a // gcd(*k) for a in k], lead) for k, lead in zip(basis, leads)]
-    columns = list(zip(*basis))
-    out = []
-    for w, g in _null_vectors(restricted, len(basis)):
-        x = [sum(map(mul, w, col)) for col in columns]
-        content = gcd(*x)
-        out.append(([a // content for a in x], leads[g]))
-    return out
-
-
-def successive_null_vectors(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Integer null vectors spanning the kernel of integer rows, found one
-    row at a time: a basis of the kernel, but not its canonical one.
-
-    The null vectors start as the ncols unit vectors.  Each row is
-    restricted to the null vectors of the rows before it, one integer dot
-    product per vector.  When some restriction is nonzero, the first such
-    vector k_i, with value w_i, is removed, and every other k_j with value
-    w_j != 0 becomes (w_i k_j - w_j k_i) / g, g = gcd(w_i, w_j), with its
-    gcd content divided out; the rest stay as they are.  Rows after the
-    last null vector is removed are not read.
-
-    A system that leaves few null vectors, read in an order whose early
-    rows are independent, costs few dot products per row this way; a
-    system that must give its canonical basis goes through `_null_vectors`.
-    """
-    basis = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    for row in rows:
-        values = [sum(map(mul, row, k)) for k in basis]
-        pivot = next((i for i, w in enumerate(values) if w), None)
+    free = list(range(ncols))
+    heads = [1] * ncols
+    tails: list[list[int]] = [[] for _ in range(ncols)]
+    removed: list[int] = []
+    rows = iter(rows)
+    while free and (row := next(rows, None)) is not None:
+        at = [row[c] for c in removed]
+        values = [h * row[f] + sum(map(mul, at, t)) for f, h, t in zip(free, heads, tails)]
+        pivot = next((i for i in range(len(values) - 1, -1, -1) if values[i]), None)
         if pivot is None:
             continue
-        p, kp = values.pop(pivot), basis.pop(pivot)
+        p, hp, tp = values.pop(pivot), heads.pop(pivot), tails.pop(pivot)
+        removed.append(free.pop(pivot))
         for i, w in enumerate(values):
-            if w:
-                g = gcd(p, w)
-                pg, wg = p // g, w // g
-                k = [pg * x - wg * y for x, y in zip(basis[i], kp)]
-                g = gcd(*k)
-                basis[i] = k if g == 1 else [x // g for x in k]
-        if not basis:
-            break
-    return basis
+            if not w:
+                tails[i].append(0)
+                continue
+            g = gcd(p, w) if p > 0 else -gcd(p, w)
+            pg, wg = p // g, w // g
+            h, t = pg * heads[i], [pg * x - wg * y for x, y in zip(tails[i], tp)]
+            t.append(-wg * hp)
+            g = gcd(h, *t)
+            heads[i], tails[i] = (h, t) if g == 1 else (h // g, [x // g for x in t])
+    out = []
+    for f, h, t in zip(free, heads, tails):
+        z = [0] * ncols
+        z[f] = h
+        for c, x in zip(removed, t):
+            z[c] = x
+        out.append((z, f))
+    return out
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -660,14 +600,15 @@ def _solve_columns(a: Matrix, columns: Sequence[Sequence]) -> list[Scaled | None
     the b column.  Row i of a is ints_i / den_i and b_j is B_j / D_j, so
     row i of the integer system is [-den_i B_j[i] for each j] followed by
     ints_i reversed: the k right-hand sides first, then the columns of a
-    from the last to the first.  `_null_vectors` eliminates from the last
-    column, so it takes the columns of a first and in their own order, and
-    their pivot and free columns are those of a alone.  b_j is consistent
-    exactly when column j is free and its null vector z is zero at the
-    other right-hand sides; the solution, with the free variables of a set
-    to 0, is then z's last n entries reversed, over z[j] D_j.  A b whose
-    column is a pivot, or that needs another b (a multiple of an
-    inconsistent b, say), gets None.
+    from the last to the first.  Its `null_vectors` are the canonical
+    basis, each zero left of its free column and at the other free
+    columns; the columns of a, reversed, have as free columns the free
+    columns of a Gauss-Jordan elimination of a from its first column, so
+    those are the free variables.  b_j is consistent exactly when column j
+    is free and its null vector z is zero at the other right-hand sides;
+    the solution, with the free variables of a set to 0, is then z's last
+    n entries reversed, over z[j] D_j.  A b whose column is not free, or
+    that needs another b (a multiple of an inconsistent b, say), gets None.
     """
     cleared = [to_integers(b) for b in columns]
     if any(len(ints) != a.nrows for ints, _ in cleared):
@@ -675,7 +616,7 @@ def _solve_columns(a: Matrix, columns: Sequence[Sequence]) -> list[Scaled | None
     k = len(cleared)
     rows = [[-den * b[i] for b, _ in cleared] + ints[::-1] for i, (ints, den) in enumerate(a._cleared())]
     out: list[Scaled | None] = [None] * k
-    for z, j in _null_vectors(rows, k + a.ncols):
+    for z, j in null_vectors(rows, k + a.ncols):
         if j >= k:
             break
         if not any(z[j + 1 : k]):
@@ -769,12 +710,15 @@ class Subspace:
         k_i = ints_i / den_i of `basis.scaled_rows()`, in either form.
 
         x = K·c lies in the kernel of L exactly when sum c_i L(k_i) = 0, so
-        only the matrix [L(k_i)], one column per basis vector, is
-        eliminated (`_lifted_null_vectors`).  It is taken on the integer
-        rows: column i is L(ints_i) = den_i L(k_i), over one common
-        denominator.  K is in reduced echelon form, with lead columns p_i,
-        so each lifted x divided by x[p_g] is a row of the canonical basis
-        of the meet.
+        the `null_vectors` are taken of the matrix [L(k_i)] alone, one column
+        per basis vector, on the integer rows: column i is
+        L(ints_i) = den_i L(k_i), over one common denominator.  Each null
+        vector (w, g) is lifted to x = sum w_i ints_i.  K is in reduced
+        echelon form, with lead columns p_i and ints_i[p_i] = den_i > 0, and
+        w is zero left of g and at the other free columns, so x is zero left
+        of p_g and at the leads of the other lifted vectors, and
+        x[p_g] = w_g den_g > 0: each x, divided by its content and by
+        x[p_g], is a row of the canonical basis of the meet.
         """
         basis = self.basis.scaled_rows()
         if len(values) != len(basis):
@@ -783,10 +727,15 @@ class Subspace:
         for (ints, den), k in zip(map(to_integers, values), basis):
             g = gcd(k.den, den)
             columns.append(Scaled(ints if g == k.den else [x * (k.den // g) for x in ints], den // g))
-        ks = [k.ints for k in basis]
         rows = Matrix.from_columns(columns, 0)._elimination_rows()
-        lifted = _lifted_null_vectors(rows, ks, [first_nonzero_index(k) for k in ks])
-        return Subspace._reduced(Matrix._trusted([(x, x[c]) for x, c in lifted], self.ambient_dim))
+        basis_columns = list(zip(*[k.ints for k in basis]))
+        leads = [first_nonzero_index(k.ints) for k in basis]
+        meet = []
+        for w, g in null_vectors(rows, len(basis)):
+            x = [sum(map(mul, w, col)) for col in basis_columns]
+            content = gcd(*x)
+            meet.append(([a // content for a in x], x[leads[g]] // content))
+        return Subspace._reduced(Matrix._trusted(meet, self.ambient_dim))
 
     def meet_kernel(self, m: Matrix) -> "Subspace":
         """The vectors of this subspace that m maps to zero: `meet_values`
@@ -815,10 +764,9 @@ class Subspace:
 def kernel(m: Matrix) -> Subspace:
     """The solution space {x : m·x = 0}; dimension = ncols - rank.
 
-    `_null_vectors` gives the canonical basis directly: one elimination,
-    or for a tall m one per square block.
+    `null_vectors` gives the canonical basis directly, one row at a time.
     """
-    null = _null_vectors(m._elimination_rows(), m.ncols)
+    null = null_vectors(m._elimination_rows(), m.ncols)
     return Subspace._reduced(Matrix._trusted([(z, z[f]) for z, f in null], m.ncols))
 
 

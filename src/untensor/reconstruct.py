@@ -18,9 +18,10 @@ w0: one batched solve against the polar rows of w0, with every right-hand
 side in the same system, one small batched solve per basis vector for the
 parts in W1 and W2, and one linear equation for the scale along w0 (see
 `_generic_products`).  Each solve is read off the null vectors of one
-system (`linalg._solve_columns`), so a tall one is taken in square blocks,
-as a tall kernel is.  Bilinearity and the stipulations then fill row p
-and column q as linear combinations of basis vectors and those products.
+system (`linalg._solve_columns`), found one row at a time by the rule
+that finds every kernel (`linalg.null_vectors`).  Bilinearity and the
+stipulations then fill row p and column q as linear combinations of
+basis vectors and those products.
 The vectors passed between these steps are `Scaled` integers, and φ is
 born as integer rows.  One rank of φ checks that the products span V;
 φ⁻¹, which only `coefficient_grid` reads, is built the first time it is

@@ -8,12 +8,12 @@ trace on the cone is two rays: the ray of a, and the ray of d, where the
 sheet through b (in the foliation of {a, c}) crosses the sheet through c
 (in the foliation of {a, b}).  The plane is span(a, p), and p is the one
 null vector, zero at a's lead coordinate, of the polar rows of b and c,
-found one row at a time (`linalg.successive_null_vectors`); no tangent
-space is taken in full.  `foliation._split_rays` splits the plane into
-those two rays, and d lies on the one that is not the ray of a.  The
-scale along that ray is fixed by demanding the total sum stay on the
-cone, which is a linear condition because the quadratic term of every
-quadric dies on the ray.
+found one row at a time by `linalg.null_vectors`, as every kernel is; no
+tangent space is taken in full.  `foliation._split_rays` splits the
+plane into those two rays, and d lies on the one that is not the ray of
+a.  The scale along that ray is fixed by demanding the total sum stay on
+the cone, which is a linear condition because the quadratic term of
+every quadric dies on the ray.
 
 Completion dispatches the proportional special cases first, since for
 those the total-sum condition is vacuous and the answer is forced by
@@ -35,7 +35,7 @@ from untensor.linalg import (
     is_zero_vector,
     proportionality_ratio,
     linear_combination,
-    successive_null_vectors,
+    null_vectors,
     to_integers,
     vscale,
 )
@@ -145,7 +145,7 @@ def is_square(inst: TensorSpace, sq: Square) -> bool:
 def _plane_partners(inst: TensorSpace, a: Scaled, b: Scaled, c: Scaled) -> list[list[int]]:
     """The null vectors, zero at the lead coordinate of a, of the polar rows
     of b and c: row k of b then row k of c, after the unit row of that
-    coordinate (`successive_null_vectors`).
+    coordinate, read one row at a time (`null_vectors`).
 
     When a lies in T(b) ∩ T(c), as the corner table shows before the
     generic branch runs, the plane is spanned by a and these vectors, so
@@ -154,7 +154,8 @@ def _plane_partners(inst: TensorSpace, a: Scaled, b: Scaled, c: Scaled) -> list[
     unit = [0] * inst.dim
     unit[first_nonzero_index(a.ints)] = 1
     (rows_b, _), (rows_c, _) = inst.polar2_rows(b).integer_rows(), inst.polar2_rows(c).integer_rows()
-    return successive_null_vectors([unit, *(row for pair in zip(rows_b, rows_c) for row in pair)], inst.dim)
+    rows = [unit, *(row for pair in zip(rows_b, rows_c) for row in pair)]
+    return [z for z, _ in null_vectors(rows, inst.dim)]
 
 
 def complete_square_details(inst: TensorSpace, a: Sequence, b: Sequence, c: Sequence) -> Completion:

@@ -158,23 +158,37 @@ class TestTangentIntersection:
 
         for name in ("is_simple", "polar2_rows", "minor_values", "polar2_values", "binary_restriction"):
             monkeypatch.setattr(inst, name, recording(name, getattr(inst, name)))
-        eliminate = linalg._eliminate
+        eliminate, null_vectors = linalg._eliminate, linalg.null_vectors
+        systems = []
 
         def counted(rows, ncols, **kwargs):
             eliminated.append(ncols)
             return eliminate(rows, ncols, **kwargs)
 
+        def reading(rows, ncols):
+            rows, read = list(rows), []
+
+            def reader():
+                for row in rows:
+                    read.append(row)
+                    yield row
+
+            null = null_vectors(reader(), ncols)
+            systems.append((len(rows), ncols, len(read), len(null)))
+            return null
+
         monkeypatch.setattr(linalg, "_eliminate", counted)
+        monkeypatch.setattr(linalg, "null_vectors", reading)
         calls = inst.stats.oracle_calls
         meet = tangent_intersection(inst, v, s)
-        # Both points are checked and their polar rows read.  The rows of v are eliminated in
-        # full; those of s only in the restricted system, one column per basis vector of T(v).
-        # That system has 9 rows and 5 columns, so it is taken in square blocks: its first 5
-        # rows leave 2 null vectors, on which the other 4 rows all vanish, so nothing more is
-        # eliminated.
+        # Both points are checked and their polar rows read.  The 9 rows of v are read in full,
+        # with 9 columns, and leave the 5 null vectors of T(v); those of s only in the restricted
+        # system, one column per basis vector of T(v), whose 9 rows leave 2 null vectors.  Every
+        # row is read, as null vectors are left, and nothing goes through `_eliminate`.
         assert queries == [("is_simple", v), ("polar2_rows", v), ("is_simple", s), ("polar2_rows", s)]
         assert inst.stats.oracle_calls == calls + 4
-        assert eliminated == [inst.dim, dim]
+        assert eliminated == []
+        assert systems == [(9, inst.dim, 9, dim), (9, dim, 9, 2)]
         assert meet == kernel(inst.polar2_rows(v)).intersect(kernel(inst.polar2_rows(s)))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)])

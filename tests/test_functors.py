@@ -16,7 +16,6 @@ from untensor.functors import (
     is_cone_morphism,
     preserves_cone_empirically,
     product_commutation_scale,
-    recovered_pair,
     tensor_morphism,
 )
 from untensor.linalg import Matrix, kernel, vscale
@@ -154,12 +153,6 @@ class TestCertification:
 
 
 class TestDecomposition:
-    def test_recovered_pair_passthrough(self):
-        inst = generate_instance((2, 3), 13, pointed=True)
-        recon = recover_factors(inst, Random(14))
-        w1, w2, w0 = recovered_pair(inst, recon)
-        assert w1 is recon.sheet_w1 and w2 is recon.sheet_w2 and w0 == recon.w0
-
     def test_identity_restricts_to_identities(self):
         inst = generate_instance((2, 3), 15, pointed=True)
         recon = recover_factors(inst, Random(16))

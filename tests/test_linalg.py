@@ -23,6 +23,7 @@ from untensor.linalg import (
     inverse,
     kernel,
     linear_combination,
+    null_vectors,
     parse_integers,
     parse_matrix,
     parse_vector,
@@ -30,7 +31,6 @@ from untensor.linalg import (
     rank_one_split,
     ray_generator,
     solve_linear,
-    successive_null_vectors,
     to_integers,
     vadd,
     vector,
@@ -207,34 +207,42 @@ class TestMatrixBoundary:
 
 
 class TestEliminationCore:
-    READERS = frozenset(
+    READERS = frozenset({"linalg.py:Subspace.__init__", "linalg.py:inverse", "linalg.py:determinant"})
+    NULL_VECTOR_READERS = frozenset(
         {
-            "linalg.py:_null_vectors",
-            "linalg.py:Subspace.__init__",
             "linalg.py:Matrix.rank",
-            "linalg.py:inverse",
-            "linalg.py:determinant",
+            "linalg.py:_solve_columns",
+            "linalg.py:Subspace.meet_values",
+            "linalg.py:kernel",
+            "squares.py:_plane_partners",
         }
     )
 
-    def test_only_these_functions_eliminate(self):
-        """Kernels, meets, tall ranks and solves read `_null_vectors`; no
-        other function of the package names `_eliminate`."""
+    @staticmethod
+    def readers(name):
+        """Every function of the package that names `name`, as module:scope."""
         package = Path(untensor.__file__).parent
-        readers = set()
+        found = set()
 
         def visit(node, scope, module):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     visit(child, scope + [child.name], module)
                     continue
-                if getattr(child, "id", None) == "_eliminate" or getattr(child, "attr", None) == "_eliminate":
-                    readers.add(f"{module}:{'.'.join(scope)}")
+                if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                    found.add(f"{module}:{'.'.join(scope)}")
                 visit(child, scope, module)
 
         for path in sorted(package.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [], path.name)
-        assert readers == self.READERS
+        return found
+
+    def test_only_these_functions_eliminate(self):
+        """Only the row-space jobs name `_eliminate`; every kernel, meet,
+        rank, solve and the square plane read `null_vectors`, the one rule
+        that builds a null-vector basis."""
+        assert self.readers("_eliminate") == self.READERS
+        assert self.readers("null_vectors") == self.NULL_VECTOR_READERS
 
 
 class TestIntegerCoreAgainstReference:
@@ -424,17 +432,28 @@ class TestKernel:
         assert m.rank() + kernel(m).dim == m.ncols
 
     def test_one_elimination(self, monkeypatch):
-        calls = []
+        # One pass of `null_vectors` over the 3 rows of 4 columns, and no `_eliminate`:
+        # two null vectors are left, so every row is read.
+        calls, eliminated = [], []
         eliminate = linalg._eliminate
 
         def counted(rows, ncols, **kwargs):
-            calls.append(kwargs)
+            eliminated.append(ncols)
             return eliminate(rows, ncols, **kwargs)
 
+        def recording(rows, ncols):
+            rows = list(rows)
+            null = null_vectors(rows, ncols)
+            calls.append((rows, ncols, len(null)))
+            return null
+
         monkeypatch.setattr(linalg, "_eliminate", counted)
+        monkeypatch.setattr(linalg, "null_vectors", recording)
         k = kernel(Matrix([[1, 2, 3, 4], [2, 4, 6, 9], [0, 0, 0, 1]]))
-        assert calls == [{"reverse": True}]
+        assert eliminated == []
+        assert calls == [([[1, 2, 3, 4], [2, 4, 6, 9], [0, 0, 0, 1]], 4, 2)]
         assert k == Subspace([(-2, 1, 0, 0), (-3, 0, 1, 0)], 4)
+        assert k.basis.rows == ((1, 0, F(-1, 3), 0), (0, 1, F(-2, 3), 0))
 
     def test_polar_rows_stay_integer_through_eliminations(self):
         inst = generate_instance((3, 3), 4)
@@ -476,7 +495,8 @@ def tall_integer_rows(draw):
 
 
 class TestTallKernels:
-    """Systems with more rows than columns are taken in square blocks."""
+    """Systems with more rows than columns: the kernel and the rank agree
+    with a row elimination, and the null vectors are the canonical basis."""
 
     @settings(max_examples=200)
     @given(tall_integer_rows())
@@ -489,7 +509,7 @@ class TestTallKernels:
         assert k.dim == ncols - rank
         assert k.basis == Subspace(k.basis.rows, ncols).basis
         assert m.rank() == rank
-        null = linalg._null_vectors([list(r) for r in rows], ncols)
+        null = null_vectors(rows, ncols)
         free = [f for _, f in null]
         assert free == sorted(free)
         for z, f in null:
@@ -497,25 +517,54 @@ class TestTallKernels:
             assert gcd(*z) == 1
 
 
+def reference_kernel_basis(rows, ncols):
+    """The canonical reduced basis of the kernel, by textbook Gauss-Jordan
+    twice: the null vectors read off the reduced rows, then reduced
+    themselves.  Returns (basis rows, their pivot columns)."""
+    reduced, pivots = reference_rref(rows, ncols)
+    null = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        x = [F(0)] * ncols
+        x[f] = F(1)
+        for row, c in zip(reduced, pivots):
+            x[c] = -row[f]
+        null.append(x)
+    basis, leads = reference_rref(null, ncols)
+    return basis[: len(leads)], leads
+
+
 class TestSuccessiveNullVectors:
-    """The row-by-row null vectors span the kernel, on tall, wide and square
-    integer systems, rank-deficient ones and ones with zero rows included."""
+    """`null_vectors`, one row at a time, on tall, wide and square integer
+    systems, rank-deficient ones and ones with zero rows included."""
 
     @settings(max_examples=200)
     @given(
         st.one_of(
             tall_integer_rows(),
             rational_matrices().map(lambda m: ([to_integers(row).ints for row in m.rows], m.ncols)),
-        )
+        ),
+        st.lists(st.lists(small_ints, min_size=8, max_size=8), max_size=2),
     )
-    def test_spans_the_kernel(self, system):
+    def test_spans_the_kernel(self, system, extra):
+        """The output is the canonical kernel basis, each vector primitive
+        and positive at its free column, and no row after the basis empties
+        is read: rows after the full-rank prefix are never asked for."""
         rows, ncols = system
-        m = Matrix.from_integer_rows(rows, 1, ncols)
-        null = successive_null_vectors(rows, ncols)
-        assert all(len(z) == ncols and gcd(*z) == 1 for z in null)
-        assert all(not any(sum(x * y for x, y in zip(row, z)) for row in rows) for z in null)
-        assert Subspace(null, ncols).dim == len(null)
-        assert Subspace(null, ncols) == kernel(m)
+        rows = rows + [row[:ncols] for row in extra]
+        read = []
+
+        def reader():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        null = null_vectors(reader(), ncols)
+        basis, leads = reference_kernel_basis(rows, ncols)
+        assert [f for _, f in null] == leads
+        assert [tuple(F(x, z[f]) for x in z) for z, f in null] == basis
+        assert all(z[f] > 0 and gcd(*z) == 1 for z, f in null)
+        full = next((i for i in range(len(rows) + 1) if len(reference_rref(rows[:i], ncols)[1]) == ncols), None)
+        assert len(read) == (len(rows) if full is None else full)
 
     def test_stops_reading_when_no_null_vector_is_left(self):
         read = []
@@ -525,7 +574,7 @@ class TestSuccessiveNullVectors:
                 read.append(row)
                 yield row
 
-        assert successive_null_vectors(rows(), 2) == []
+        assert null_vectors(rows(), 2) == []
         assert read == [[1, 2], [0, 0], [3, 4]]
 
 
@@ -575,8 +624,8 @@ def tall_solve_systems(draw):
 
 
 class TestTallSolves:
-    """Solves whose system [-b | a] has more rows than columns take the
-    square-block rule of `_null_vectors`, as kernels do."""
+    """Solves whose system [-b | a] has more rows than columns, read one
+    row at a time by `null_vectors`, as kernels are."""
 
     @settings(max_examples=200)
     @given(tall_solve_systems())

@@ -239,27 +239,41 @@ class TestProductMatrix:
         assert_columns_are_derived_products(recon)
 
     def test_pointed_3x3_product_stage_work(self, monkeypatch):
-        # Columns of each elimination: the solve at w0 (9 unknowns and 4
-        # right-hand sides), then two table solves per factor, each a 9x4
-        # system taken as a 4-row head block whose 2 null vectors the other
-        # 5 rows all vanish on, so nothing more is eliminated, then one
-        # rank; no square completion on the canonical bases.
+        # (rows, columns, rows read, null vectors) of each null-vector system: the
+        # solve at w0 (9 rows, 9 unknowns and 4 right-hand sides), then two table
+        # solves per factor, each 9 rows of 4 columns that leave 2 null vectors,
+        # then the rank of φ, whose 9th row removes the last null vector; nothing
+        # goes through `_eliminate`, and no square is completed on the canonical bases.
         inst = generate_instance((3, 3), 2, pointed=True)
         recon = recover_factors(inst, Random(2))
-        eliminated = []
-        eliminate = linalg._eliminate
+        eliminated, systems = [], []
+        eliminate, null_vectors = linalg._eliminate, linalg.null_vectors
 
         def counted(*args, **kwargs):
             eliminated.append(args[1])
             return eliminate(*args, **kwargs)
 
+        def reading(rows, ncols):
+            rows, read = list(rows), []
+
+            def reader():
+                for row in rows:
+                    read.append(row)
+                    yield row
+
+            null = null_vectors(reader(), ncols)
+            systems.append((len(rows), ncols, len(read), len(null)))
+            return null
+
         def refused(*args, **kwargs):
             raise AssertionError("product_matrix completed a square")
 
         monkeypatch.setattr(linalg, "_eliminate", counted)
+        monkeypatch.setattr(linalg, "null_vectors", reading)
         monkeypatch.setattr(squares, "complete_square_details", refused)
         recon.product_matrix
-        assert eliminated == [13, 4, 4, 4, 4, 9]
+        assert eliminated == []
+        assert systems == [(9, 13, 9, 9), *[(9, 4, 9, 2)] * 4, (9, 9, 9, 0)]
 
     def test_identity_instance_unit_matrix(self, ident22_recon):
         inst, recon = ident22_recon

@@ -320,35 +320,43 @@ class TestGenericCompletion:
     def test_generic_4x4_plane_work(self, monkeypatch):
         # The plane T(b) ∩ T(c) from one pass over the stacked polar rows: the unit row at
         # a's lead coordinate, then row k of b and row k of c, 1 + 2 * 36 rows of 16 columns.
-        # The system has rank 15, so 15 of its rows each remove one of the 16 unit vectors
-        # and one null vector is left; nothing goes through the elimination core.
+        # The system has rank 15, so 15 of its rows each remove one of the 16 unit vectors,
+        # the unit row first; one null vector is left, so every row is read.  Nothing goes
+        # through `_eliminate`.
         inst = generate_instance((4, 4), 3)
         alpha0, alpha, beta0, beta = (1, 2, 0, -1), (3, -1, 1, 0), (2, 0, 1, 1), (0, 1, -1, 3)
         a, b, c = inst.embed_simple(alpha0, beta0), inst.embed_simple(alpha0, beta), inst.embed_simple(alpha, beta0)
-        eliminated, systems = [], []
-        eliminate, successive = linalg._eliminate, squares.successive_null_vectors
+        eliminated, systems, left = [], [], []
+        eliminate, null_vectors = linalg._eliminate, squares.null_vectors
 
         def counted(rows, ncols, **kwargs):
             eliminated.append((len(rows), ncols))
             return eliminate(rows, ncols, **kwargs)
 
         def recording(rows, ncols):
-            rows = list(rows)
-            null = successive(rows, ncols)
-            systems.append((rows, ncols, null))
+            rows, read = list(rows), []
+
+            def reader():
+                for row in rows:
+                    read.append(row)
+                    left.append(len(null_vectors(read, ncols)))
+                    yield row
+
+            null = null_vectors(reader(), ncols)
+            systems.append((rows, ncols, len(read), null))
             return null
 
         monkeypatch.setattr(linalg, "_eliminate", counted)
-        monkeypatch.setattr(squares, "successive_null_vectors", recording)
+        monkeypatch.setattr(squares, "null_vectors", recording)
         details = complete_square_details(inst, a, b, c)
         assert eliminated == []
-        [(rows, ncols, null)] = systems
+        [(rows, ncols, read, null)] = systems
         lead = next(i for i, x in enumerate(a) if x)
         rows_b, _ = inst.polar2_rows(b).integer_rows()
         rows_c, _ = inst.polar2_rows(c).integer_rows()
         assert ncols == 16 and rows[0] == [int(i == lead) for i in range(16)]
-        assert rows[1::2] == rows_b and rows[2::2] == rows_c and len(rows) == 73
-        assert Matrix.from_integer_rows(rows, 1, 16).rank() == 15 and len(null) == 1
+        assert rows[1::2] == rows_b and rows[2::2] == rows_c and len(rows) == read == 73
+        assert left[0] == 15 and left[30:] == [1] * 43 and left[29] == 2 and len(null) == 1
         assert details == Completion(inst.embed_simple(alpha, beta), "generic", F(-38))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4)])
